@@ -6,11 +6,11 @@ use crate::report::{fmt, pct, Table};
 use std::collections::HashMap;
 use std::path::Path;
 use wtts_core::dominance::{
-    dominant_devices, euclidean_ranking, ranking_agreement, volume_ranking, DominantDevice,
+    device_similarities, dominants_above, euclidean_ranking, ranking_agreement, volume_ranking,
 };
 use wtts_devid::DeviceType;
 use wtts_gwsim::{Fleet, SimGateway};
-use wtts_stats::pearson;
+use wtts_stats::{pearson, CorrelationTest};
 use wtts_timeseries::TimeSeries;
 
 /// Per-gateway dominance analysis input: the total and each device's total.
@@ -48,7 +48,8 @@ pub fn fig5(fleet: &Fleet, out: Option<&Path>) {
             continue;
         }
         eligible += 1;
-        let dom = dominant_devices(&total, &devices, 0.6);
+        let sims = device_similarities(&total, &devices);
+        let dom = dominants_above(&sims, 0.6);
         *count_dist.entry(dom.len().min(3)).or_insert(0) += 1;
         total_dominants += dom.len();
         for d in &dom {
@@ -76,7 +77,7 @@ pub fn fig5(fleet: &Fleet, out: Option<&Path>) {
         euclidean_agree += ranking_agreement(&dom, &euc);
         volume_agree += ranking_agreement(&dom, &vol);
 
-        let strict = dominant_devices(&total, &devices, 0.8);
+        let strict = dominants_above(&sims, 0.8);
         if !strict.is_empty() {
             have_dominant_strict += 1;
         }
@@ -208,18 +209,27 @@ pub fn fig5(fleet: &Fleet, out: Option<&Path>) {
 /// Ablation: how the dominant-device census changes when Definition 1 is
 /// replaced by each coefficient alone.
 pub fn ablation_similarity(fleet: &Fleet, out: Option<&Path>) {
-    use wtts_stats::{kendall, spearman};
+    let (eligible, census) = ablation_census(fleet);
+    let mut t = Table::new(
+        "Ablation - similarity measure vs dominant-device census",
+        &["measure", "gateways with dominant", "total dominants"],
+    );
+    for (name, (with, total)) in ABLATION_MEASURES.iter().zip(census) {
+        t.row(&[(*name).to_string(), with.to_string(), total.to_string()]);
+    }
+    t.emit(out);
+    println!("{eligible} eligible gateways\n");
+}
+
+/// Row labels of the ablation census, in [`ablation_census`] order.
+const ABLATION_MEASURES: [&str; 4] = ["max of three (Def. 1)", "pearson", "spearman", "kendall"];
+
+/// The ablation's eligible-gateway count and, per measure, (gateways with
+/// a φ = 0.6 dominant, total dominants). Each device's Definition 1
+/// evaluation supplies all four measures: its value and its three tests.
+fn ablation_census(fleet: &Fleet) -> (usize, [(usize, usize); 4]) {
     let weeks = 4;
-    let mut rows: Vec<(String, usize, usize)> = Vec::new(); // (measure, gateways w/ dominant, total dominants)
-    type Measure = fn(&[f64], &[f64]) -> wtts_stats::CorrelationTest;
-    let measures: [(&str, Measure); 3] = [
-        ("pearson", pearson as Measure),
-        ("spearman", spearman as Measure),
-        ("kendall", kendall as Measure),
-    ];
-    let mut max_with = 0usize;
-    let mut max_total = 0usize;
-    let mut single: Vec<(usize, usize)> = vec![(0, 0); measures.len()];
+    let mut census = [(0usize, 0usize); 4];
     let mut eligible = 0usize;
     for gw in fleet.iter() {
         let (total, devices) = gateway_series(&gw, weeks);
@@ -227,45 +237,26 @@ pub fn ablation_similarity(fleet: &Fleet, out: Option<&Path>) {
             continue;
         }
         eligible += 1;
-        let dom = dominant_devices(&total, &devices, 0.6);
-        if !dom.is_empty() {
-            max_with += 1;
-        }
-        max_total += dom.len();
-        for (k, (_, f)) in measures.iter().enumerate() {
-            let doms: Vec<DominantDevice> = devices
-                .iter()
-                .enumerate()
-                .filter_map(|(i, d)| {
-                    let test = f(total.values(), d.values());
-                    (test.significant(0.05) && test.value > 0.6).then_some((i, test.value))
-                })
-                .enumerate()
-                .map(|(rank, (device, similarity))| DominantDevice {
-                    device,
-                    similarity,
-                    rank,
-                })
-                .collect();
-            if !doms.is_empty() {
-                single[k].0 += 1;
-            }
-            single[k].1 += doms.len();
+        let sims = device_similarities(&total, &devices);
+        let dominant_counts = [
+            dominants_above(&sims, 0.6).len(),
+            count_dominant(sims.iter().map(|s| &s.pearson)),
+            count_dominant(sims.iter().map(|s| &s.spearman)),
+            count_dominant(sims.iter().map(|s| &s.kendall)),
+        ];
+        for (row, n) in census.iter_mut().zip(dominant_counts) {
+            row.0 += usize::from(n > 0);
+            row.1 += n;
         }
     }
-    rows.push(("max of three (Def. 1)".into(), max_with, max_total));
-    for (k, (name, _)) in measures.iter().enumerate() {
-        rows.push(((*name).to_string(), single[k].0, single[k].1));
-    }
-    let mut t = Table::new(
-        "Ablation - similarity measure vs dominant-device census",
-        &["measure", "gateways with dominant", "total dominants"],
-    );
-    for (name, with, total) in rows {
-        t.row(&[name, with.to_string(), total.to_string()]);
-    }
-    t.emit(out);
-    println!("{eligible} eligible gateways\n");
+    (eligible, census)
+}
+
+/// Devices whose single-coefficient test is significant and above 0.6.
+fn count_dominant<'a>(tests: impl Iterator<Item = &'a CorrelationTest>) -> usize {
+    tests
+        .filter(|t| t.significant(0.05) && t.value > 0.6)
+        .count()
 }
 
 #[cfg(test)]
@@ -291,5 +282,56 @@ mod tests {
     fn fig5_runs_on_small_fleet() {
         let fleet = Fleet::new(FleetConfig::small());
         fig5(&fleet, None);
+    }
+
+    /// The ablation reads its per-coefficient census off the profiled
+    /// Definition 1 results; the from-scratch coefficient routines give the
+    /// same counts.
+    #[test]
+    fn ablation_census_matches_from_scratch_coefficients() {
+        use wtts_core::similarity::correlation_similarity;
+        use wtts_stats::{kendall, spearman};
+        // The ablation analyses four weeks, so the small fleet is rendered
+        // that long to leave gateways eligible; three gateways keep the
+        // debug-build oracle quick.
+        let fleet = Fleet::new(FleetConfig {
+            n_gateways: 3,
+            weeks: 4,
+            ..FleetConfig::small()
+        });
+        let weeks = 4;
+        let mut eligible = 0usize;
+        let mut expected = [(0usize, 0usize); 4];
+        for gw in fleet.iter() {
+            let (total, devices) = gateway_series(&gw, weeks);
+            if !observed_every_week(&total, weeks) {
+                continue;
+            }
+            eligible += 1;
+            // Per device and measure: (significant, value), from scratch.
+            let measures: Vec<[(bool, f64); 4]> = devices
+                .iter()
+                .map(|d| {
+                    let (x, y) = (total.values(), d.values());
+                    let test = |t: CorrelationTest| (t.significant(0.05), t.value);
+                    [
+                        (true, correlation_similarity(x, y).value),
+                        test(pearson(x, y)),
+                        test(spearman(x, y)),
+                        test(kendall(x, y)),
+                    ]
+                })
+                .collect();
+            for (k, row) in expected.iter_mut().enumerate() {
+                let n = measures.iter().filter(|m| m[k].0 && m[k].1 > 0.6).count();
+                row.0 += usize::from(n > 0);
+                row.1 += n;
+            }
+        }
+        assert!(
+            expected[0].1 > 0,
+            "no dominant device: the check would be vacuous"
+        );
+        assert_eq!(ablation_census(&fleet), (eligible, expected));
     }
 }

@@ -9,8 +9,9 @@
 //! shows correlation dominance catches low-volume devices that *shape* the
 //! gateway's behavior.
 
-use crate::similarity::correlation_similarity;
-use wtts_stats::euclidean;
+use crate::engine::correlation_similarity_profiled;
+use crate::similarity::CorSimilarity;
+use wtts_stats::{euclidean, CorProfile, CorScratch, ALPHA};
 use wtts_timeseries::TimeSeries;
 
 /// The paper's dominance threshold.
@@ -32,27 +33,58 @@ pub struct DominantDevice {
 ///
 /// `device_series` holds each device's overall traffic aligned with
 /// `gateway_total`. Only significant correlations count (Definition 1
-/// returns 0 otherwise).
+/// returns 0 otherwise). Callers that threshold one gateway at several φ
+/// should call [`device_similarities`] once and [`dominants_above`] per φ.
 pub fn dominant_devices(
     gateway_total: &TimeSeries,
     device_series: &[TimeSeries],
     phi: f64,
 ) -> Vec<DominantDevice> {
-    let hits: Vec<(usize, f64)> = device_series
+    dominants_above(&device_similarities(gateway_total, device_series), phi)
+}
+
+/// Definition 1 between the gateway total and each device, in device
+/// order — the one evaluation Definition 4 needs per device.
+///
+/// The total is profiled once; devices are profiled one at a time against
+/// a single [`CorScratch`], so only one device profile is ever live. A
+/// device's finite mask is a subset of the total's (the total is observed
+/// wherever any device is), which the engine's subset tier serves without
+/// sorting the total again. Bit-identical to
+/// [`correlation_similarity`](crate::similarity::correlation_similarity)
+/// per device.
+pub fn device_similarities(
+    gateway_total: &TimeSeries,
+    device_series: &[TimeSeries],
+) -> Vec<CorSimilarity> {
+    let total = CorProfile::new(gateway_total.values());
+    let mut scratch = CorScratch::new();
+    device_series
+        .iter()
+        .map(|dev| {
+            let device = CorProfile::new(dev.values());
+            correlation_similarity_profiled(&total, &device, &mut scratch, ALPHA)
+        })
+        .collect()
+}
+
+/// The φ-dominant devices among precomputed [`device_similarities`],
+/// ranked by descending similarity — the thresholding half of
+/// Definition 4.
+pub fn dominants_above(similarities: &[CorSimilarity], phi: f64) -> Vec<DominantDevice> {
+    let hits = similarities
         .iter()
         .enumerate()
-        .filter_map(|(i, dev)| {
-            let sim = correlation_similarity(gateway_total.values(), dev.values());
-            (sim.value > phi).then_some((i, sim.value))
-        })
+        .filter(|(_, sim)| sim.value > phi)
+        .map(|(i, sim)| (i, sim.value))
         .collect();
     rank_dominants(hits)
 }
 
 /// Ranks `(device, similarity)` hits into [`DominantDevice`]s by descending
-/// similarity — the ranking half of Definition 4, shared by the batch path
-/// above and the streaming-ingest dominance tracker (which computes its
-/// similarities incrementally with `OnlinePearson` instead).
+/// similarity — the ranking half of Definition 4, shared by
+/// [`dominants_above`] and the streaming-ingest dominance tracker (which
+/// computes its similarities incrementally with `OnlinePearson` instead).
 pub fn rank_dominants(mut hits: Vec<(usize, f64)>) -> Vec<DominantDevice> {
     hits.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite similarity"));
     hits.into_iter()

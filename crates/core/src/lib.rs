@@ -75,8 +75,8 @@ pub use anomaly::{AnomalyConfig, AnomalyDetector, Verdict};
 pub use background::{estimate_tau, remove_background, BackgroundProfile, TauGroup, TAU_CAP};
 pub use clustering::{cluster_correlated, correlation_components, Dendrogram};
 pub use dominance::{
-    dominant_devices, euclidean_ranking, rank_dominants, ranking_agreement, volume_ranking,
-    DominantDevice, DOMINANCE_PHI,
+    device_similarities, dominant_devices, dominants_above, euclidean_ranking, rank_dominants,
+    ranking_agreement, volume_ranking, DominantDevice, DOMINANCE_PHI,
 };
 pub use engine::{
     cor_matrix, cor_matrix_observed, cor_matrix_pruned, cor_matrix_pruned_observed, cor_profiled,

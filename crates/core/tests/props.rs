@@ -3,6 +3,9 @@
 use proptest::prelude::*;
 use wtts_core::background::{capped_tau, estimate_tau, remove_background, TAU_CAP};
 use wtts_core::clustering::average_linkage;
+use wtts_core::dominance::{
+    device_similarities, dominant_devices, dominants_above, rank_dominants, DominantDevice,
+};
 use wtts_core::engine::{
     cor_matrix, cor_matrix_pruned, correlation_similarity_profiled, profile_series, sketch_series,
     CorMatrixConfig, PruneConfig,
@@ -345,5 +348,106 @@ proptest! {
         prop_assert_eq!(plain.pearson, fast.pearson);
         prop_assert_eq!(plain.spearman, fast.spearman);
         prop_assert_eq!(plain.kendall, fast.kendall);
+    }
+}
+
+/// A device traffic sample: continuous, or quantized to a few levels so
+/// ties are heavy.
+fn device_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        4 => 0.0f64..1e6,
+        3 => (0u32..3).prop_map(|q| (q * 500) as f64),
+    ]
+}
+
+/// Sets `[start, start + len)` of `values` (clipped) to NaN.
+fn punch(values: &mut [f64], start: usize, len: usize) {
+    let end = (start + len).min(values.len());
+    for v in &mut values[start.min(end)..end] {
+        *v = f64::NAN;
+    }
+}
+
+/// Definition 4 from scratch: the from-scratch Definition 1 per device,
+/// thresholded, then ranked.
+fn dominants_from_scratch(
+    total: &TimeSeries,
+    devices: &[TimeSeries],
+    phi: f64,
+) -> Vec<DominantDevice> {
+    let hits = devices
+        .iter()
+        .enumerate()
+        .map(|(i, d)| (i, correlation_similarity(total.values(), d.values()).value))
+        .filter(|&(_, sim)| sim > phi)
+        .collect();
+    rank_dominants(hits)
+}
+
+/// `(device, rank, similarity bits)` per dominant: bit-level comparison.
+fn dominant_bits(dominants: &[DominantDevice]) -> Vec<(usize, usize, u64)> {
+    dominants
+        .iter()
+        .map(|d| (d.device, d.rank, d.similarity.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Definition 4 on the profiled engine equals the from-scratch scan bit
+    /// for bit — device, rank and similarity — over device sets with NaN
+    /// runs (device masks inside the total's), NaN runs punched into the
+    /// total (incomparable masks), an all-NaN device, a constant device and
+    /// heavy ties; and one similarity pass thresholded at two φ equals two
+    /// separate scans.
+    #[test]
+    fn dominance_matches_from_scratch(
+        len in 8usize..96,
+        n_devices in 1usize..6,
+        data in prop::collection::vec(device_value(), 6 * 96),
+        device_holes in prop::collection::vec((0usize..6, 0usize..96, 1usize..24), 0..8),
+        total_holes in prop::collection::vec((0usize..96, 1usize..8), 0..3),
+        extras in 0usize..4,
+    ) {
+        let mut devices: Vec<Vec<f64>> = data
+            .chunks_exact(96)
+            .take(n_devices)
+            .map(|c| c[..len].to_vec())
+            .collect();
+        for &(d, start, run) in &device_holes {
+            if d < devices.len() {
+                punch(&mut devices[d], start, run);
+            }
+        }
+        if extras & 1 == 1 {
+            devices.push(vec![f64::NAN; len]);
+        }
+        if extras & 2 == 2 {
+            devices.push(vec![250.0; len]);
+        }
+        let devices: Vec<TimeSeries> = devices.into_iter().map(TimeSeries::per_minute).collect();
+        let mut total = TimeSeries::sum_all(devices.iter()).expect("at least one device");
+        for &(start, run) in &total_holes {
+            punch(total.values_mut(), start, run);
+        }
+
+        for phi in [0.0, 0.6, 0.8] {
+            prop_assert_eq!(
+                dominant_bits(&dominant_devices(&total, &devices, phi)),
+                dominant_bits(&dominants_from_scratch(&total, &devices, phi)),
+                "phi {}", phi
+            );
+        }
+        let sims = device_similarities(&total, &devices);
+        for (lo, hi) in [(0.0, 0.6), (0.6, 0.8)] {
+            for phi in [lo, hi] {
+                prop_assert_eq!(
+                    dominant_bits(&dominants_above(&sims, phi)),
+                    dominant_bits(&dominant_devices(&total, &devices, phi)),
+                    "phi {}", phi
+                );
+            }
+        }
     }
 }

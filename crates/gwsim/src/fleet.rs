@@ -16,8 +16,10 @@ use crate::gateway::{generate_gateway, SimGateway};
 ///
 /// The fleet holds only its configuration; each gateway's dense traffic is
 /// rendered on demand by [`Fleet::gateway`] from a per-gateway RNG stream.
-/// That keeps whole-fleet experiments at one-gateway memory cost and makes
-/// every analysis reproducible from `(config, id)`.
+/// A sequential walk such as [`Fleet::iter`] therefore holds one rendered
+/// gateway at a time, and a parallel walk one per worker thread; memory
+/// never grows with the fleet size. Every analysis is reproducible from
+/// `(config, id)`.
 #[derive(Debug, Clone)]
 pub struct Fleet {
     config: FleetConfig,

@@ -9,7 +9,7 @@
 //! ```
 
 use wtts::core::dominance::{
-    dominant_devices, euclidean_ranking, ranking_agreement, volume_ranking,
+    device_similarities, dominants_above, euclidean_ranking, ranking_agreement, volume_ranking,
 };
 use wtts::gwsim::{Fleet, FleetConfig};
 use wtts::timeseries::TimeSeries;
@@ -36,9 +36,11 @@ fn main() {
     let device_series: Vec<TimeSeries> = gw.devices.iter().map(|d| d.total()).collect();
     let total = TimeSeries::sum_all(device_series.iter()).expect("devices");
 
-    // Definition 4 at the paper's phi = 0.6 and the strict 0.8.
+    // Definition 4 at the paper's phi = 0.6 and the strict 0.8: one
+    // Definition 1 evaluation per device, thresholded twice.
+    let similarities = device_similarities(&total, &device_series);
     for phi in [0.6, 0.8] {
-        let dominants = dominant_devices(&total, &device_series, phi);
+        let dominants = dominants_above(&similarities, phi);
         println!("phi = {phi}: {} dominant device(s)", dominants.len());
         for d in &dominants {
             let dev = &gw.devices[d.device];
@@ -56,7 +58,7 @@ fn main() {
     }
 
     // How do the baselines rank the same devices?
-    let dominants = dominant_devices(&total, &device_series, 0.6);
+    let dominants = dominants_above(&similarities, 0.6);
     let zero_filled: Vec<TimeSeries> = device_series
         .iter()
         .map(|d| {

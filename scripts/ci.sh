@@ -15,8 +15,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test =="
-cargo test -q
+echo "== cargo test (workspace) =="
+cargo test --workspace -q
 
 echo "== ingest bench (smoke) =="
 cargo bench -p wtts-bench --bench ingest -- --smoke
@@ -110,6 +110,10 @@ python3 scripts/perf_gate.py --only lag_search
 echo "== kernels bench (smoke) =="
 cargo bench -p wtts-bench --bench kernels -- --smoke
 python3 scripts/perf_gate.py --only kernels
+
+echo "== dominance bench (smoke) =="
+cargo bench -p wtts-bench --bench dominance -- --smoke
+python3 scripts/perf_gate.py --only dominance
 
 echo "== perf budget (all recorded baselines) =="
 python3 scripts/perf_gate.py
