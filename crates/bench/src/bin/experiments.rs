@@ -223,6 +223,7 @@ fn main() {
     let mut daily_set: Option<motifs::MotifSet> = None;
     for id in &ids {
         let started = Instant::now();
+        let renders_before = Fleet::process_renders();
         heartbeat.begin(id);
         println!("==== {id} ====");
         match id.as_str() {
@@ -288,7 +289,11 @@ fn main() {
             }
         }
         heartbeat.finish_one();
-        println!("[{id} done in {:.1}s]\n", started.elapsed().as_secs_f64());
+        println!(
+            "[{id} done in {:.1}s, {} gateway renders]\n",
+            started.elapsed().as_secs_f64(),
+            Fleet::process_renders() - renders_before,
+        );
     }
     heartbeat.stop.store(true, Ordering::Relaxed);
     heartbeat_handle.join().expect("heartbeat thread");

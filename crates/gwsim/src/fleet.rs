@@ -2,6 +2,9 @@
 
 use crate::config::FleetConfig;
 use crate::gateway::{generate_gateway, SimGateway};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use wtts_timeseries::{Minute, MINUTES_PER_WEEK};
 
 /// A simulated fleet of residential gateways.
 ///
@@ -12,23 +15,48 @@ use crate::gateway::{generate_gateway, SimGateway};
 /// let gw = fleet.gateway(0);
 /// assert!(!gw.devices.is_empty());
 /// assert!(gw.aggregate_total().total() > 0.0);
+/// assert_eq!(fleet.renders(), 1);
 /// ```
 ///
-/// The fleet holds only its configuration; each gateway's dense traffic is
-/// rendered on demand by [`Fleet::gateway`] from a per-gateway RNG stream.
-/// A sequential walk such as [`Fleet::iter`] therefore holds one rendered
-/// gateway at a time, and a parallel walk one per worker thread; memory
-/// never grows with the fleet size. Every analysis is reproducible from
-/// `(config, id)`.
-#[derive(Debug, Clone)]
+/// The fleet holds its configuration, a per-gateway week-0 coverage memo
+/// (one `usize` per gateway, filled by one walk the first time
+/// [`Fleet::week0_coverage`] is read) and a render counter. It never holds
+/// a series: each gateway's dense traffic is rendered on demand by
+/// [`Fleet::gateway`] from a per-gateway RNG stream. A sequential walk such
+/// as [`Fleet::iter`] therefore holds one rendered gateway at a time, and a
+/// parallel walk one per worker thread; memory never grows with the fleet
+/// size beyond the memo. Every analysis is reproducible from `(config, id)`.
+#[derive(Debug)]
 pub struct Fleet {
     config: FleetConfig,
+    week0_coverage: OnceLock<Vec<usize>>,
+    renders: AtomicUsize,
+}
+
+/// Renders through every [`Fleet`] of the process; see
+/// [`Fleet::process_renders`].
+static PROCESS_RENDERS: AtomicUsize = AtomicUsize::new(0);
+
+/// A clone shares the configuration and any filled coverage memo (both are
+/// functions of the configuration alone); its render counter starts at zero.
+impl Clone for Fleet {
+    fn clone(&self) -> Fleet {
+        Fleet {
+            config: self.config.clone(),
+            week0_coverage: self.week0_coverage.clone(),
+            renders: AtomicUsize::new(0),
+        }
+    }
 }
 
 impl Fleet {
     /// Creates a fleet with the given configuration.
     pub fn new(config: FleetConfig) -> Fleet {
-        Fleet { config }
+        Fleet {
+            config,
+            week0_coverage: OnceLock::new(),
+            renders: AtomicUsize::new(0),
+        }
     }
 
     /// The paper-scale default fleet (196 gateways, 6 weeks).
@@ -57,7 +85,37 @@ impl Fleet {
     /// Panics if `id >= len()`.
     pub fn gateway(&self, id: usize) -> SimGateway {
         assert!(id < self.config.n_gateways, "gateway id out of range");
+        self.renders.fetch_add(1, Ordering::Relaxed);
+        PROCESS_RENDERS.fetch_add(1, Ordering::Relaxed);
         generate_gateway(&self.config, id)
+    }
+
+    /// How many gateways [`Fleet::gateway`] has rendered through this
+    /// handle, across all threads.
+    pub fn renders(&self) -> usize {
+        self.renders.load(Ordering::Relaxed)
+    }
+
+    /// How many gateways [`Fleet::gateway`] has rendered through every
+    /// fleet of this process, including fleets an analysis builds for
+    /// itself (the experiment runner's per-experiment census).
+    pub fn process_renders() -> usize {
+        PROCESS_RENDERS.load(Ordering::Relaxed)
+    }
+
+    /// Observed (finite) minutes of each gateway's aggregate total in week
+    /// 0, indexed by gateway id. The first call renders the whole fleet
+    /// once; later calls read the memo.
+    pub fn week0_coverage(&self) -> &[usize] {
+        self.week0_coverage.get_or_init(|| {
+            self.iter()
+                .map(|gw| {
+                    gw.aggregate_total()
+                        .slice(Minute::ZERO, MINUTES_PER_WEEK as usize)
+                        .observed_count()
+                })
+                .collect()
+        })
     }
 
     /// Iterates over all gateways, rendering each lazily.
@@ -104,6 +162,31 @@ mod tests {
         }
         // Requesting more than the fleet clamps.
         assert_eq!(fleet.survey_residents(100).len(), fleet.len());
+    }
+
+    #[test]
+    fn coverage_memo_renders_once_and_counts() {
+        let fleet = Fleet::new(FleetConfig::small());
+        let coverage = fleet.week0_coverage().to_vec();
+        assert_eq!(coverage.len(), fleet.len());
+        assert_eq!(fleet.renders(), fleet.len());
+        assert_eq!(fleet.week0_coverage(), coverage.as_slice());
+        assert_eq!(fleet.renders(), fleet.len());
+        let week = MINUTES_PER_WEEK as usize;
+        for (id, &c) in coverage.iter().enumerate() {
+            let total = fleet.gateway(id).aggregate_total();
+            assert_eq!(
+                c,
+                total.values()[..week]
+                    .iter()
+                    .filter(|v| v.is_finite())
+                    .count()
+            );
+        }
+        // A clone keeps the memo but counts its own renders.
+        let clone = fleet.clone();
+        assert_eq!(clone.week0_coverage(), coverage.as_slice());
+        assert_eq!(clone.renders(), 0);
     }
 
     #[test]
