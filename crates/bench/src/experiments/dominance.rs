@@ -26,36 +26,49 @@ pub fn gateway_series(gw: &SimGateway, weeks: u32) -> (TimeSeries, Vec<TimeSerie
 
 /// Full §6.2 analysis over the fleet.
 pub fn fig5(fleet: &Fleet, out: Option<&Path>) {
-    let weeks = 4;
-    let mut eligible = 0usize;
-    // #dominant -> #gateways, for phi = 0.6 and 0.8.
-    let mut count_dist: HashMap<usize, usize> = HashMap::new();
-    let mut have_dominant_strict = 0usize;
-    let mut type_by_rank: HashMap<(usize, DeviceType), usize> = HashMap::new();
-    let mut type_totals: HashMap<DeviceType, usize> = HashMap::new();
-    let mut total_dominants = 0usize;
-    let mut euclidean_agree = 0usize;
-    let mut volume_agree = 0usize;
-    let mut strict_fixed = 0usize;
-    let mut strict_total = 0usize;
-    // Survey: (residents, #dominant) over the first 49 eligible gateways.
-    let mut survey: Vec<(usize, usize)> = Vec::new();
-    let mut residents_cross: HashMap<(usize, usize), usize> = HashMap::new();
+    fig5_census(fleet).emit(out);
+}
 
+/// Fleet-wide tallies behind Figure 5 and the §6.2 tables, over the
+/// gateways observed in every one of the first four weeks.
+#[derive(Debug, Default)]
+struct Fig5Census {
+    eligible: usize,
+    /// #dominant (3 = three or more) -> #gateways, at φ = 0.6.
+    count_dist: HashMap<usize, usize>,
+    /// Gateways with at least one φ = 0.8 dominant.
+    have_dominant_strict: usize,
+    type_by_rank: HashMap<(usize, DeviceType), usize>,
+    type_totals: HashMap<DeviceType, usize>,
+    total_dominants: usize,
+    euclidean_agree: usize,
+    volume_agree: usize,
+    strict_fixed: usize,
+    strict_total: usize,
+    /// (residents, #dominant) over the first 49 eligible gateways.
+    survey: Vec<(usize, usize)>,
+    residents_cross: HashMap<(usize, usize), usize>,
+}
+
+/// One pass over the fleet: each eligible gateway's Definition 1 results
+/// are thresholded at φ = 0.6 and φ = 0.8.
+fn fig5_census(fleet: &Fleet) -> Fig5Census {
+    let weeks = 4;
+    let mut c = Fig5Census::default();
     for gw in fleet.iter() {
         let (total, devices) = gateway_series(&gw, weeks);
         if !observed_every_week(&total, weeks) {
             continue;
         }
-        eligible += 1;
+        c.eligible += 1;
         let sims = device_similarities(&total, &devices);
         let dom = dominants_above(&sims, 0.6);
-        *count_dist.entry(dom.len().min(3)).or_insert(0) += 1;
-        total_dominants += dom.len();
+        *c.count_dist.entry(dom.len().min(3)).or_insert(0) += 1;
+        c.total_dominants += dom.len();
         for d in &dom {
             let ty = gw.devices[d.device].inferred_type();
-            *type_by_rank.entry((d.rank.min(2), ty)).or_insert(0) += 1;
-            *type_totals.entry(ty).or_insert(0) += 1;
+            *c.type_by_rank.entry((d.rank.min(2), ty)).or_insert(0) += 1;
+            *c.type_totals.entry(ty).or_insert(0) += 1;
         }
         // For the Euclidean baseline a disconnected device contributes zero
         // traffic; leaving its samples missing would shrink its distance by
@@ -74,136 +87,148 @@ pub fn fig5(fleet: &Fleet, out: Option<&Path>) {
             .collect();
         let euc = euclidean_ranking(&total, &zero_filled);
         let vol = volume_ranking(&devices);
-        euclidean_agree += ranking_agreement(&dom, &euc);
-        volume_agree += ranking_agreement(&dom, &vol);
+        c.euclidean_agree += ranking_agreement(&dom, &euc);
+        c.volume_agree += ranking_agreement(&dom, &vol);
 
         let strict = dominants_above(&sims, 0.8);
         if !strict.is_empty() {
-            have_dominant_strict += 1;
+            c.have_dominant_strict += 1;
         }
-        strict_total += strict.len();
-        strict_fixed += strict
+        c.strict_total += strict.len();
+        c.strict_fixed += strict
             .iter()
             .filter(|d| gw.devices[d.device].inferred_type() == DeviceType::Fixed)
             .count();
 
-        if survey.len() < 49 {
-            survey.push((gw.residents, dom.len()));
+        if c.survey.len() < 49 {
+            c.survey.push((gw.residents, dom.len()));
         }
-        *residents_cross
+        *c.residents_cross
             .entry((gw.residents, dom.len().min(3)))
             .or_insert(0) += 1;
     }
 
-    let mut t = Table::new(
-        "Fig 5 / Sec 6.2 - dominant devices per gateway (phi=0.6)",
-        &["#dominant", "gateways"],
-    );
-    for k in 0..=3 {
-        let label = if k == 3 {
-            "3+".to_string()
-        } else {
-            k.to_string()
-        };
-        t.row(&[label, count_dist.get(&k).copied().unwrap_or(0).to_string()]);
-    }
-    t.emit(out);
-    println!("{eligible} eligible gateways, {total_dominants} dominant devices in total\n");
+    c
+}
 
-    let mut t = Table::new(
-        "Fig 5 - dominant device types by rank",
-        &["type", "first", "second", "third"],
-    );
-    for ty in DeviceType::ALL {
-        let get = |rank: usize| {
-            type_by_rank
-                .get(&(rank, ty))
-                .copied()
-                .unwrap_or(0)
-                .to_string()
-        };
-        t.row(&[ty.label().to_string(), get(0), get(1), get(2)]);
-    }
-    t.emit(out);
+impl Fig5Census {
+    fn emit(&self, out: Option<&Path>) {
+        let mut t = Table::new(
+            "Fig 5 / Sec 6.2 - dominant devices per gateway (phi=0.6)",
+            &["#dominant", "gateways"],
+        );
+        for k in 0..=3 {
+            let label = if k == 3 {
+                "3+".to_string()
+            } else {
+                k.to_string()
+            };
+            t.row(&[
+                label,
+                self.count_dist.get(&k).copied().unwrap_or(0).to_string(),
+            ]);
+        }
+        t.emit(out);
+        println!(
+            "{} eligible gateways, {} dominant devices in total\n",
+            self.eligible, self.total_dominants
+        );
 
-    let mut t = Table::new("Sec 6.2 - dominance type totals", &["type", "count"]);
-    for ty in DeviceType::ALL {
+        let mut t = Table::new(
+            "Fig 5 - dominant device types by rank",
+            &["type", "first", "second", "third"],
+        );
+        for ty in DeviceType::ALL {
+            let get = |rank: usize| {
+                self.type_by_rank
+                    .get(&(rank, ty))
+                    .copied()
+                    .unwrap_or(0)
+                    .to_string()
+            };
+            t.row(&[ty.label().to_string(), get(0), get(1), get(2)]);
+        }
+        t.emit(out);
+
+        let mut t = Table::new("Sec 6.2 - dominance type totals", &["type", "count"]);
+        for ty in DeviceType::ALL {
+            t.row(&[
+                ty.label().to_string(),
+                self.type_totals.get(&ty).copied().unwrap_or(0).to_string(),
+            ]);
+        }
+        t.emit(out);
+
+        let mut t = Table::new(
+            "Sec 6.2 - agreement with baseline rankings",
+            &["baseline", "same-rank dominants", "share"],
+        );
         t.row(&[
-            ty.label().to_string(),
-            type_totals.get(&ty).copied().unwrap_or(0).to_string(),
+            "euclidean".into(),
+            self.euclidean_agree.to_string(),
+            pct(self.euclidean_agree as f64 / self.total_dominants.max(1) as f64),
         ]);
+        t.row(&[
+            "traffic volume".into(),
+            self.volume_agree.to_string(),
+            pct(self.volume_agree as f64 / self.total_dominants.max(1) as f64),
+        ]);
+        t.emit(out);
+
+        let mut t = Table::new("Sec 6.2 - strict dominance (phi=0.8)", &["stat", "value"]);
+        t.row(&[
+            "gateways with >=1 dominant".into(),
+            pct(self.have_dominant_strict as f64 / self.eligible.max(1) as f64),
+        ]);
+        t.row(&[
+            "fixed share among dominants".into(),
+            pct(self.strict_fixed as f64 / self.strict_total.max(1) as f64),
+        ]);
+        t.emit(out);
+
+        let mut t = Table::new(
+            "Sec 6.2 - residents x dominant-device count (all eligible)",
+            &["residents", "0 dom", "1 dom", "2 dom", "3+ dom"],
+        );
+        for r in 1..=4usize {
+            let get = |d: usize| {
+                self.residents_cross
+                    .get(&(r, d))
+                    .copied()
+                    .unwrap_or(0)
+                    .to_string()
+            };
+            t.row(&[r.to_string(), get(0), get(1), get(2), get(3)]);
+        }
+        t.emit(out);
+
+        // Residents vs dominant count (self.survey subset; paper: cor = 0.53 over
+        // 1-2 user homes, no overall correlation).
+        let all_res: Vec<f64> = self.survey.iter().map(|&(r, _)| r as f64).collect();
+        let all_dom: Vec<f64> = self.survey.iter().map(|&(_, d)| d as f64).collect();
+        let overall = pearson(&all_res, &all_dom);
+        let small: Vec<&(usize, usize)> = self.survey.iter().filter(|&&(r, _)| r <= 2).collect();
+        let s_res: Vec<f64> = small.iter().map(|&&(r, _)| r as f64).collect();
+        let s_dom: Vec<f64> = small.iter().map(|&&(_, d)| d as f64).collect();
+        let small_cor = pearson(&s_res, &s_dom);
+        let mut t = Table::new(
+            "Sec 6.2 - #dominant devices vs #residents (survey subset)",
+            &["population", "n", "pearson", "significant"],
+        );
+        t.row(&[
+            "all homes".into(),
+            self.survey.len().to_string(),
+            fmt(overall.value, 2),
+            overall.significant(0.05).to_string(),
+        ]);
+        t.row(&[
+            "1-2 resident homes".into(),
+            small.len().to_string(),
+            fmt(small_cor.value, 2),
+            small_cor.significant(0.05).to_string(),
+        ]);
+        t.emit(out);
     }
-    t.emit(out);
-
-    let mut t = Table::new(
-        "Sec 6.2 - agreement with baseline rankings",
-        &["baseline", "same-rank dominants", "share"],
-    );
-    t.row(&[
-        "euclidean".into(),
-        euclidean_agree.to_string(),
-        pct(euclidean_agree as f64 / total_dominants.max(1) as f64),
-    ]);
-    t.row(&[
-        "traffic volume".into(),
-        volume_agree.to_string(),
-        pct(volume_agree as f64 / total_dominants.max(1) as f64),
-    ]);
-    t.emit(out);
-
-    let mut t = Table::new("Sec 6.2 - strict dominance (phi=0.8)", &["stat", "value"]);
-    t.row(&[
-        "gateways with >=1 dominant".into(),
-        pct(have_dominant_strict as f64 / eligible.max(1) as f64),
-    ]);
-    t.row(&[
-        "fixed share among dominants".into(),
-        pct(strict_fixed as f64 / strict_total.max(1) as f64),
-    ]);
-    t.emit(out);
-
-    let mut t = Table::new(
-        "Sec 6.2 - residents x dominant-device count (all eligible)",
-        &["residents", "0 dom", "1 dom", "2 dom", "3+ dom"],
-    );
-    for r in 1..=4usize {
-        let get = |d: usize| {
-            residents_cross
-                .get(&(r, d))
-                .copied()
-                .unwrap_or(0)
-                .to_string()
-        };
-        t.row(&[r.to_string(), get(0), get(1), get(2), get(3)]);
-    }
-    t.emit(out);
-
-    // Residents vs dominant count (survey subset; paper: cor = 0.53 over
-    // 1-2 user homes, no overall correlation).
-    let all_res: Vec<f64> = survey.iter().map(|&(r, _)| r as f64).collect();
-    let all_dom: Vec<f64> = survey.iter().map(|&(_, d)| d as f64).collect();
-    let overall = pearson(&all_res, &all_dom);
-    let small: Vec<&(usize, usize)> = survey.iter().filter(|&&(r, _)| r <= 2).collect();
-    let s_res: Vec<f64> = small.iter().map(|&&(r, _)| r as f64).collect();
-    let s_dom: Vec<f64> = small.iter().map(|&&(_, d)| d as f64).collect();
-    let small_cor = pearson(&s_res, &s_dom);
-    let mut t = Table::new(
-        "Sec 6.2 - #dominant devices vs #residents (survey subset)",
-        &["population", "n", "pearson", "significant"],
-    );
-    t.row(&[
-        "all homes".into(),
-        survey.len().to_string(),
-        fmt(overall.value, 2),
-        overall.significant(0.05).to_string(),
-    ]);
-    t.row(&[
-        "1-2 resident homes".into(),
-        small.len().to_string(),
-        fmt(small_cor.value, 2),
-        small_cor.significant(0.05).to_string(),
-    ]);
-    t.emit(out);
 }
 
 /// Ablation: how the dominant-device census changes when Definition 1 is
@@ -278,10 +303,30 @@ mod tests {
         assert_eq!(manual.values()[..100], total.values()[..100]);
     }
 
+    /// fig5 analyses four weeks, so the stock two-week small fleet would
+    /// leave no gateway eligible; a four-week fleet yields a real census.
     #[test]
-    fn fig5_runs_on_small_fleet() {
-        let fleet = Fleet::new(FleetConfig::small());
-        fig5(&fleet, None);
+    fn fig5_census_on_four_week_fleet() {
+        let fleet = Fleet::new(FleetConfig {
+            n_gateways: 3,
+            weeks: 4,
+            ..FleetConfig::small()
+        });
+        let census = fig5_census(&fleet);
+        assert!(census.eligible >= 1, "no eligible gateway");
+        assert!(census.total_dominants > 0, "empty phi = 0.6 census");
+        fn sum<K>(m: &HashMap<K, usize>) -> usize {
+            m.values().sum()
+        }
+        assert_eq!(sum(&census.count_dist), census.eligible);
+        assert_eq!(sum(&census.residents_cross), census.eligible);
+        assert_eq!(sum(&census.type_totals), census.total_dominants);
+        assert_eq!(sum(&census.type_by_rank), census.total_dominants);
+        assert_eq!(census.survey.len(), census.eligible.min(49));
+        // Every phi = 0.8 dominant is also a phi = 0.6 dominant.
+        assert!(census.strict_total <= census.total_dominants);
+        assert!(census.strict_fixed <= census.strict_total);
+        census.emit(None);
     }
 
     /// The ablation reads its per-coefficient census off the profiled
