@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: formatting, lints (warnings denied), build, the full test
-# suite, bench smokes (bit-identity + observability conservation), and the
+# suite, bench smokes (bit-identity + observability conservation), the
 # unified perf-budget gate (scripts/perf_gate.py) over every committed
-# bench baseline. Run from anywhere inside the repository.
+# bench baseline, and the benchmark selftest (experiment CSVs against the
+# recorded digests). Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,6 +118,9 @@ python3 scripts/perf_gate.py --only dominance
 
 echo "== perf budget (all recorded baselines) =="
 python3 scripts/perf_gate.py
+
+echo "== benchmark selftest (recorded CSV digests, injected faults counted) =="
+CARGO_TARGET_DIR=target python3 perfbench/run.py --selftest
 
 echo "== examples (smoke) =="
 cargo run --release --example quickstart >/dev/null
