@@ -332,11 +332,8 @@ fn encode_lane(buf: &mut Vec<u8>, lane: &GatewayLane) {
             put_f64(buf, bytes);
         }
     }
-    let mut device_ids: Vec<u32> = lane.devices.keys().copied().collect();
-    device_ids.sort_unstable();
-    put_u64(buf, device_ids.len() as u64);
-    for id in device_ids {
-        let d = &lane.devices[&id];
+    put_u64(buf, lane.devices.len() as u64);
+    for (&id, d) in &lane.devices {
         put_u32(buf, id);
         encode_baseline(buf, d.last);
         encode_baseline(buf, d.suspect);

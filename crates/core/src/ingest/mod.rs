@@ -56,7 +56,7 @@
 //! gap ([`MetricsSnapshot::durably_accounted`]) — see its docs for the
 //! recovery invariants.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -880,7 +880,9 @@ struct PendingMinute {
 /// All streaming state of one gateway, owned exclusively by one shard.
 pub(crate) struct GatewayLane {
     gateway: u64,
-    devices: HashMap<u32, DeviceState>,
+    /// Ordered by device id, so every walk over the devices — dominance
+    /// ranking, snapshot encoding — is deterministic.
+    devices: BTreeMap<u32, DeviceState>,
     /// Sparse, minute-sorted ring of not-yet-finalized minutes.
     pending: VecDeque<PendingMinute>,
     /// First minute that may still accept contributions.
@@ -900,7 +902,7 @@ impl GatewayLane {
     fn new(gateway: u64, config: &IngestConfig, n_templates: usize) -> GatewayLane {
         GatewayLane {
             gateway,
-            devices: HashMap::new(),
+            devices: BTreeMap::new(),
             pending: VecDeque::new(),
             watermark: 0,
             max_seen: 0,
@@ -1764,6 +1766,36 @@ mod tests {
         assert_eq!(dom[0].device, 0);
         assert_eq!(dom[0].rank, 0);
         assert!(dom[0].similarity > 0.9);
+    }
+
+    /// Two devices with identical traffic tie on correlation; the ranking
+    /// breaks the tie by device id, identically on every run.
+    #[test]
+    fn tied_dominants_rank_by_device_id() {
+        let config = IngestConfig {
+            lateness_horizon: 1,
+            ..test_config(1)
+        };
+        let mut reports = Vec::new();
+        let mut cum = 0u64;
+        for m in 0..600u32 {
+            cum += if (m / 60) % 3 == 2 {
+                50_000
+            } else {
+                10 + (m % 7) as u64
+            };
+            for device in [9, 4] {
+                reports.push(report(5, device, m, cum));
+            }
+        }
+        for run in 0..20 {
+            let summary = IngestPipeline::new(config.clone(), Vec::new()).run(reports.clone());
+            let dom = &summary.gateways[0].dominants;
+            assert_eq!(dom.len(), 2, "run {run}: both devices dominate");
+            assert_eq!(dom[0].similarity.to_bits(), dom[1].similarity.to_bits());
+            let ids: Vec<usize> = dom.iter().map(|d| d.device).collect();
+            assert_eq!(ids, vec![4, 9], "run {run}");
+        }
     }
 
     /// Backpressure: a tiny queue still processes everything (the producer
