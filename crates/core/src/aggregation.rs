@@ -34,21 +34,6 @@ pub struct GranularityScore {
     pub n_pairs: usize,
 }
 
-/// Mean pairwise correlation among the weekly windows of `series` at the
-/// given binning; `None` when fewer than two weeks carry observations.
-///
-/// A thin wrapper over one [`crate::sweep::weekly_cell`] — full candidate
-/// grids should go through [`crate::sweep::weekly_sweep`], which shares the
-/// per-series prefix-sum pyramid across all candidates.
-pub fn weekly_window_correlation(
-    series: &TimeSeries,
-    weeks: u32,
-    granularity: Granularity,
-    offset_minutes: u32,
-) -> Option<GranularityScore> {
-    weekly_cell(series, weeks, granularity, offset_minutes, false, None).score
-}
-
 /// Mean same-weekday correlation among the daily windows of `series`:
 /// Mondays against Mondays, Tuesdays against Tuesdays, and so on.
 ///
@@ -113,6 +98,17 @@ mod tests {
     use super::*;
     use wtts_timeseries::{MINUTES_PER_DAY, MINUTES_PER_WEEK};
 
+    /// Definition 3's weekly objective at one binning, as the sweep scores
+    /// it.
+    fn weekly_score(
+        series: &TimeSeries,
+        weeks: u32,
+        granularity: Granularity,
+        offset_minutes: u32,
+    ) -> Option<GranularityScore> {
+        weekly_cell(series, weeks, granularity, offset_minutes, false, None).score
+    }
+
     /// Four weeks of per-minute traffic with a strict evening habit plus
     /// per-minute deterministic wiggle.
     fn regular_series(weeks: u32) -> TimeSeries {
@@ -157,8 +153,8 @@ mod tests {
     #[test]
     fn aggregation_raises_weekly_correlation_for_regular_series() {
         let s = regular_series(4);
-        let fine = weekly_window_correlation(&s, 4, Granularity::minutes(1), 0).unwrap();
-        let coarse = weekly_window_correlation(&s, 4, Granularity::hours(8), 0).unwrap();
+        let fine = weekly_score(&s, 4, Granularity::minutes(1), 0).unwrap();
+        let coarse = weekly_score(&s, 4, Granularity::hours(8), 0).unwrap();
         assert!(
             coarse.mean_correlation > fine.mean_correlation,
             "coarse {} must beat fine {}",
@@ -174,8 +170,8 @@ mod tests {
         let irregular = irregular_series(4);
         let regular = regular_series(4);
         for g in [Granularity::hours(3), Granularity::hours(8)] {
-            let irr = weekly_window_correlation(&irregular, 4, g, 0).unwrap();
-            let reg = weekly_window_correlation(&regular, 4, g, 0).unwrap();
+            let irr = weekly_score(&irregular, 4, g, 0).unwrap();
+            let reg = weekly_score(&regular, 4, g, 0).unwrap();
             assert!(
                 irr.mean_correlation < reg.mean_correlation - 0.2,
                 "at {g}: irregular {} vs regular {}",
@@ -222,8 +218,8 @@ mod tests {
     #[test]
     fn offsets_change_the_windows() {
         let s = regular_series(4);
-        let midnight = weekly_window_correlation(&s, 4, Granularity::hours(8), 0).unwrap();
-        let two_am = weekly_window_correlation(&s, 4, Granularity::hours(8), 120).unwrap();
+        let midnight = weekly_score(&s, 4, Granularity::hours(8), 0).unwrap();
+        let two_am = weekly_score(&s, 4, Granularity::hours(8), 120).unwrap();
         // Both are valid scores over the same data; they need not be equal,
         // but both must be high for the regular series.
         assert!(midnight.mean_correlation > 0.8);
@@ -234,7 +230,7 @@ mod tests {
     #[test]
     fn too_few_weeks_is_none() {
         let s = regular_series(1);
-        assert!(weekly_window_correlation(&s, 1, Granularity::hours(8), 0).is_none());
+        assert!(weekly_score(&s, 1, Granularity::hours(8), 0).is_none());
     }
 
     #[test]
@@ -242,7 +238,7 @@ mod tests {
         let s = regular_series(4);
         let scores: Vec<GranularityScore> = [1u32, 3, 8]
             .into_iter()
-            .map(|h| weekly_window_correlation(&s, 4, Granularity::hours(h), 0).unwrap())
+            .map(|h| weekly_score(&s, 4, Granularity::hours(h), 0).unwrap())
             .collect();
         let best = best_score(&scores).unwrap();
         let max = scores

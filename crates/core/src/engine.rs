@@ -48,10 +48,10 @@ impl Default for CorMatrixConfig {
 /// φ = 0.8 (or ¾φ = 0.6) up across the threshold, flipping Definition 4/5
 /// membership versus an exact evaluation. Consumers that decide membership
 /// by `≥ threshold` therefore re-verify comparisons landing within
-/// [`crate::motif::F32_REVERIFY_BAND`] of the threshold in `f64` (see
-/// [`crate::motif::discover_motifs`]); the matrix itself stays a compact
-/// pre-filter. The implicit diagonal reads as `1.0` (a series evolves
-/// identically to itself).
+/// [`crate::motif::F32_REVERIFY_BAND`] of the threshold in `f64`, as motif
+/// assembly does over the bit-identical [`SparseCorMatrix`] values; the
+/// matrix itself stays a compact pre-filter. The implicit diagonal reads
+/// as `1.0` (a series evolves identically to itself).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CondensedMatrix {
     n: usize,
@@ -141,18 +141,6 @@ pub fn cor_profiled(a: &CorProfile, b: &CorProfile, scratch: &mut CorScratch) ->
 /// all bit-identical to the from-scratch coefficients, benchmarked
 /// per-kernel in `BENCH_kernels.json`.
 pub fn cor_matrix(profiles: &[CorProfile], config: &CorMatrixConfig) -> CondensedMatrix {
-    cor_matrix_observed(profiles, config, None)
-}
-
-/// [`cor_matrix`] with optional observability: when `obs` is `Some`, every
-/// row fill opens a span on [`PipelineObs::row_fill`] (one per row, across
-/// all worker threads). With `None` this is exactly `cor_matrix` — no
-/// atomics touched, no clocks read, bit-identical output.
-pub fn cor_matrix_observed(
-    profiles: &[CorProfile],
-    config: &CorMatrixConfig,
-    obs: Option<&PipelineObs>,
-) -> CondensedMatrix {
     let n = profiles.len();
     let total = n * n.saturating_sub(1) / 2;
     let mut data = vec![0.0f32; total];
@@ -174,7 +162,6 @@ pub fn cor_matrix_observed(
         let mut rest = data.as_mut_slice();
         for i in 0..n - 1 {
             let (row, tail) = rest.split_at_mut(n - 1 - i);
-            let _span = obs.map(|o| o.row_fill.enter());
             fill_row(profiles, i, row, &mut scratch, config.alpha);
             rest = tail;
         }
@@ -206,7 +193,6 @@ pub fn cor_matrix_observed(
                         let mut guard = rows.lock().expect("no poisoned row lock");
                         guard[i].take().expect("each row is taken once")
                     };
-                    let _span = obs.map(|o| o.row_fill.enter());
                     fill_row(profiles, i, row, &mut scratch, config.alpha);
                 }
             });
@@ -234,24 +220,11 @@ fn fill_row(
 
 /// Profiles a collection of series (a convenience for `cor_matrix` callers).
 pub fn profile_series<S: AsRef<[f64]>>(series: &[S]) -> Vec<CorProfile> {
-    profile_series_observed(series, None)
-}
-
-/// [`profile_series`] with optional observability: when `obs` is `Some`,
-/// each profile construction opens a span on [`PipelineObs::profile_build`].
-pub fn profile_series_observed<S: AsRef<[f64]>>(
-    series: &[S],
-    obs: Option<&PipelineObs>,
-) -> Vec<CorProfile> {
-    series
-        .iter()
-        .map(|s| profile_one(s.as_ref(), obs))
-        .collect()
+    series.iter().map(|s| CorProfile::new(s.as_ref())).collect()
 }
 
 /// Profiles a single series under a [`PipelineObs::profile_build`] span —
-/// the per-item building block of [`profile_series_observed`], shared with
-/// the lag-search preparation phase ([`crate::lagsearch`]).
+/// the observed preparation step of lag search ([`crate::lagsearch`]).
 pub(crate) fn profile_one(series: &[f64], obs: Option<&PipelineObs>) -> CorProfile {
     let _span = obs.map(|o| o.profile_build.enter());
     CorProfile::new(series)
@@ -400,25 +373,14 @@ impl SparseCorMatrix {
 /// Builds the pruning sketch of every profile (a convenience for
 /// [`cor_matrix_pruned`] callers).
 pub fn sketch_series(profiles: &[CorProfile], config: &SketchConfig) -> Vec<CorSketch> {
-    sketch_series_observed(profiles, config, None)
-}
-
-/// [`sketch_series`] with optional observability: when `obs` is `Some`,
-/// each sketch construction opens a span on [`PipelineObs::sketch_build`].
-pub fn sketch_series_observed(
-    profiles: &[CorProfile],
-    config: &SketchConfig,
-    obs: Option<&PipelineObs>,
-) -> Vec<CorSketch> {
     profiles
         .iter()
-        .map(|p| sketch_one(p, config, obs))
+        .map(|p| CorSketch::from_profile(p, config))
         .collect()
 }
 
 /// Sketches a single profile under a [`PipelineObs::sketch_build`] span —
-/// the per-item building block of [`sketch_series_observed`], shared with
-/// the lag-search preparation phase ([`crate::lagsearch`]).
+/// the observed preparation step of lag search ([`crate::lagsearch`]).
 pub(crate) fn sketch_one(
     profile: &CorProfile,
     config: &SketchConfig,
@@ -776,7 +738,10 @@ mod tests {
         let profiles = profile_series(&series);
         let config = PruneConfig::at_threshold(0.6);
         let obs = PipelineObs::new();
-        let sketches = sketch_series_observed(&profiles, &config.sketch, Some(&obs));
+        let sketches: Vec<CorSketch> = profiles
+            .iter()
+            .map(|p| sketch_one(p, &config.sketch, Some(&obs)))
+            .collect();
         let (_, stats) = cor_matrix_pruned_observed(&profiles, &sketches, &config, Some(&obs));
         let snap = obs.snapshot();
         assert!(snap.quiescent());

@@ -68,9 +68,7 @@ pub mod stationarity;
 pub mod streaming;
 pub mod sweep;
 
-pub use aggregation::{
-    best_score, daily_window_correlation, weekly_window_correlation, GranularityScore,
-};
+pub use aggregation::{best_score, daily_window_correlation, GranularityScore};
 pub use anomaly::{AnomalyConfig, AnomalyDetector, Verdict};
 pub use background::{estimate_tau, remove_background, BackgroundProfile, TauGroup, TAU_CAP};
 pub use clustering::{cluster_correlated, correlation_components, Dendrogram};
@@ -79,10 +77,9 @@ pub use dominance::{
     ranking_agreement, volume_ranking, DominantDevice, DOMINANCE_PHI,
 };
 pub use engine::{
-    cor_matrix, cor_matrix_observed, cor_matrix_pruned, cor_matrix_pruned_observed, cor_profiled,
-    correlation_similarity_profiled, profile_series, profile_series_observed, sketch_series,
-    sketch_series_observed, CondensedMatrix, CorMatrixConfig, PruneConfig, PruneStats,
-    SparseCorMatrix,
+    cor_matrix, cor_matrix_pruned, cor_matrix_pruned_observed, cor_profiled,
+    correlation_similarity_profiled, profile_series, sketch_series, CondensedMatrix,
+    CorMatrixConfig, PruneConfig, PruneStats, SparseCorMatrix,
 };
 pub use ingest::durable::{
     segment_files, snapshot_coverage, wal_disk_usage, Durability, DurableConfig, DurableError,
@@ -98,8 +95,8 @@ pub use lagsearch::{
 };
 pub use maintenance::{MaintenanceWindow, WeeklyProfile};
 pub use motif::{
-    discover_motifs, discover_motifs_indexed, discover_motifs_observed, discover_motifs_pruned,
-    Motif, MotifConfig, MotifIndex, WindowRef, F32_REVERIFY_BAND,
+    discover_motifs, discover_motifs_indexed, Motif, MotifConfig, MotifIndex, WindowRef,
+    F32_REVERIFY_BAND,
 };
 pub use obs::{
     HistogramSnapshot, LogHistogram, ObsSnapshot, PipelineObs, Stage, StageSnapshot,
@@ -107,9 +104,7 @@ pub use obs::{
 };
 pub use profile::GatewayProfile;
 pub use similarity::{cor, cor_at_least, cor_distance, correlation_similarity, CorSimilarity};
-pub use stationarity::{
-    strong_stationarity, strong_stationarity_observed, StationarityCheck, STATIONARITY_COR,
-};
+pub use stationarity::{strong_stationarity, StationarityCheck, STATIONARITY_COR};
 pub use streaming::{
     best_match, CompletedWindow, LateSample, MatchOutcome, MotifMatcher, MotifTemplate,
     OnlinePearson, WindowAccumulator,

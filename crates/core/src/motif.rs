@@ -14,8 +14,7 @@
 //! construction.
 
 use crate::engine::{
-    cor_matrix_observed, cor_matrix_pruned_observed, cor_profiled, sketch_series_observed,
-    CorMatrixConfig, PruneConfig,
+    cor_matrix_pruned_observed, cor_profiled, sketch_series, CorMatrixConfig, PruneConfig,
 };
 use crate::obs::{PipelineObs, NEAR_THRESHOLD_BAND};
 use std::collections::HashMap;
@@ -27,13 +26,13 @@ use wtts_timeseries::Weekday;
 /// Similarity reported for pairs the sketch tier pruned: far below every
 /// admissible threshold *and* far outside [`F32_REVERIFY_BAND`], so every
 /// membership verdict on a pruned pair is `false` without consulting the
-/// exact checker — exactly the verdict the dense path reaches, since a
+/// exact checker — exactly the verdict a dense scan reaches, since a
 /// pruned pair's true similarity is provably below the prune threshold
 /// (which never exceeds φ, ¾φ or the merge threshold).
 const PRUNED_SIM: f32 = -2.0;
 
 /// Half-width of the f64 band around a decision threshold inside which the
-/// condensed matrix's `f32` similarity is re-verified in `f64` before a
+/// similarity matrix's `f32` value is re-verified in `f64` before a
 /// membership verdict.
 ///
 /// Rounding `f64 → f32` moves a similarity by at most half an `f32` ULP
@@ -47,7 +46,7 @@ pub const F32_REVERIFY_BAND: f64 = 1e-6;
 /// Re-verifies near-threshold `f32` similarities in `f64`.
 ///
 /// The exact value is recomputed from the same [`CorProfile`]s that filled
-/// the condensed matrix, so it is bit-identical to the pre-rounding `f64`;
+/// the similarity matrix, so it is bit-identical to the pre-rounding `f64`;
 /// a small cache keeps each pair's recompute to one.
 struct ExactChecker<'a> {
     profiles: &'a [CorProfile],
@@ -246,6 +245,10 @@ impl Motif {
 /// `config.min_observations` finite samples are ignored. Returns motifs
 /// sorted by descending support.
 ///
+/// Builds a throwaway [`MotifIndex`] and runs [`discover_motifs_indexed`];
+/// to amortize the index across several runs (daily *and* weekly families,
+/// threshold sweeps), build it once and call `discover_motifs_indexed`.
+///
 /// ```
 /// use wtts_core::motif::{discover_motifs, MotifConfig};
 ///
@@ -261,82 +264,18 @@ impl Motif {
 /// assert!(!motifs[0].members.contains(&4)); // the noise day stays out
 /// ```
 pub fn discover_motifs(windows: &[Vec<f64>], config: &MotifConfig) -> Vec<Motif> {
-    discover_motifs_observed(windows, config, None)
+    discover_motifs_indexed(
+        &MotifIndex::new(windows, config.min_observations),
+        config,
+        None,
+    )
 }
 
-/// [`discover_motifs`] with optional observability: when `obs` is `Some`,
-/// the run opens a span on [`PipelineObs::motif_discovery`] and feeds the
-/// pair counters (`pairs_evaluated` / `candidate_pairs` / `pairs_pruned` /
-/// `members_grown` / `motifs_merged`), the near-threshold instrument
-/// (`near_phi` / `near_group`, within
-/// [`NEAR_THRESHOLD_BAND`](crate::obs::NEAR_THRESHOLD_BAND) of φ and ¾φ)
-/// and `f64_reverified`. With `None` the run is exactly `discover_motifs`.
-pub fn discover_motifs_observed(
-    windows: &[Vec<f64>],
-    config: &MotifConfig,
-    obs: Option<&PipelineObs>,
-) -> Vec<Motif> {
-    let _span = obs.map(|o| o.motif_discovery.enter());
-    let n = windows.len();
-    // Eligible windows get a slot in the condensed similarity matrix;
-    // ineligible ones never pair with anything.
-    let mut slot: Vec<Option<usize>> = vec![None; n];
-    let mut eligible: Vec<usize> = Vec::new();
-    let mut profiles: Vec<CorProfile> = Vec::new();
-    for (i, w) in windows.iter().enumerate() {
-        if w.iter().filter(|v| v.is_finite()).count() >= config.min_observations {
-            slot[i] = Some(profiles.len());
-            eligible.push(i);
-            let _p = obs.map(|o| o.profile_build.enter());
-            profiles.push(CorProfile::new(w));
-        }
-    }
-
-    // One batch upper-triangle sweep replaces the per-pair cor() calls and
-    // the old duplicated n × n storage.
-    let matrix = cor_matrix_observed(&profiles, &CorMatrixConfig::default(), obs);
-    let sim = |i: usize, j: usize| -> f32 {
-        match (slot[i], slot[j]) {
-            (Some(a), Some(b)) => matrix.get(a, b),
-            _ => 0.0,
-        }
-    };
-    // Membership verdicts near a threshold are decided in f64, never off
-    // the rounded f32 (the CondensedMatrix quantization guard).
-    let mut exact = ExactChecker::new(&profiles, &slot);
-
-    let mut candidate_pairs: Vec<(usize, usize)> = Vec::new();
-    let group_threshold = config.group_threshold();
-    for (a, &i) in eligible.iter().enumerate() {
-        for (offset, &j) in eligible[a + 1..].iter().enumerate() {
-            let s = matrix.get(a, a + 1 + offset);
-            if let Some(o) = obs {
-                o.pairs_evaluated.incr();
-                if (s as f64 - config.phi).abs() <= NEAR_THRESHOLD_BAND {
-                    o.near_phi.incr();
-                }
-                if (s as f64 - group_threshold).abs() <= NEAR_THRESHOLD_BAND {
-                    o.near_group.incr();
-                }
-            }
-            if exact.meets(s, i, j, config.phi, obs) {
-                candidate_pairs.push((i, j));
-                if let Some(o) = obs {
-                    o.candidate_pairs.incr();
-                }
-            } else if let Some(o) = obs {
-                o.pairs_pruned.incr();
-            }
-        }
-    }
-    assemble_motifs(n, candidate_pairs, &sim, &mut exact, config, obs)
-}
-
-/// The shared back half of motif discovery: sorts the φ-candidate pairs by
-/// descending similarity, grows motifs greedily and merges them. Both the
-/// dense and the sketch-pruned front ends feed this with the same candidate
-/// list and bit-identical `sim` values for every pair that can influence a
-/// verdict, which is what makes their outputs identical.
+/// The back half of motif discovery: sorts the φ-candidate pairs by
+/// descending similarity, grows motifs greedily and merges them. The
+/// sketch-pruned front end and the dense test oracle feed this with the
+/// same candidate list and bit-identical `sim` values for every pair that
+/// can influence a verdict, which is what makes their outputs identical.
 fn assemble_motifs(
     n: usize,
     mut candidate_pairs: Vec<(usize, usize)>,
@@ -446,32 +385,19 @@ impl MotifIndex {
     /// Builds the index: one profile and one pruning sketch per window with
     /// at least `min_observations` finite samples.
     pub fn new(windows: &[Vec<f64>], min_observations: usize) -> MotifIndex {
-        MotifIndex::observed(windows, min_observations, None)
-    }
-
-    /// [`MotifIndex::new`] with optional observability: profile and sketch
-    /// constructions open spans on [`PipelineObs::profile_build`] and
-    /// [`PipelineObs::sketch_build`].
-    pub fn observed(
-        windows: &[Vec<f64>],
-        min_observations: usize,
-        obs: Option<&PipelineObs>,
-    ) -> MotifIndex {
-        let n = windows.len();
-        let mut slot: Vec<Option<usize>> = vec![None; n];
+        let mut slot: Vec<Option<usize>> = vec![None; windows.len()];
         let mut eligible: Vec<usize> = Vec::new();
         let mut profiles: Vec<CorProfile> = Vec::new();
         for (i, w) in windows.iter().enumerate() {
             if w.iter().filter(|v| v.is_finite()).count() >= min_observations {
                 slot[i] = Some(profiles.len());
                 eligible.push(i);
-                let _p = obs.map(|o| o.profile_build.enter());
                 profiles.push(CorProfile::new(w));
             }
         }
-        let sketches = sketch_series_observed(&profiles, &SketchConfig::default(), obs);
+        let sketches = sketch_series(&profiles, &SketchConfig::default());
         MotifIndex {
-            n_windows: n,
+            n_windows: windows.len(),
             min_observations,
             slot,
             eligible,
@@ -497,24 +423,12 @@ impl MotifIndex {
     }
 }
 
-/// Sketch-pruned [`discover_motifs`]: identical output, but pairs provably
-/// below every decision threshold are dismissed by cheap sketch bounds
-/// instead of exact Definition-1 evaluation. Builds a throwaway
-/// [`MotifIndex`]; to amortize the index across several runs (daily *and*
-/// weekly families, ablation sweeps), build it once and call
-/// [`discover_motifs_indexed`].
-pub fn discover_motifs_pruned(windows: &[Vec<f64>], config: &MotifConfig) -> Vec<Motif> {
-    discover_motifs_indexed(
-        &MotifIndex::new(windows, config.min_observations),
-        config,
-        None,
-    )
-}
-
 /// Motif discovery over a prebuilt [`MotifIndex`], with sketch pruning.
 ///
-/// Bit-identical to `discover_motifs_observed` on the same windows and
-/// config, by the following argument:
+/// Bit-identical to the exhaustive dense scan (every pair evaluated into a
+/// [`CondensedMatrix`](crate::engine::CondensedMatrix), kept as this
+/// module's test oracle) on the same windows and config, by the following
+/// argument:
 ///
 /// * The sparse matrix prunes at `φ_prune = min(φ, ¾φ-group, merge)`, so a
 ///   pruned pair's exact similarity is provably `< φ_prune − margin`, and
@@ -527,6 +441,13 @@ pub fn discover_motifs_pruned(windows: &[Vec<f64>], config: &MotifConfig) -> Vec
 ///   candidate scan walks them in the same lexicographic order the dense
 ///   scan uses, and the descending-similarity sort is stable — so the
 ///   greedy growth sees the exact same pair sequence.
+///
+/// With `obs`, the run opens a span on [`PipelineObs::motif_discovery`],
+/// the matrix build feeds the prune counters and row-fill spans, and the
+/// scan feeds the pair counters (`pairs_evaluated` / `candidate_pairs` /
+/// `pairs_pruned` / `members_grown` / `motifs_merged`), the near-threshold
+/// instrument (`near_phi` / `near_group`, within [`NEAR_THRESHOLD_BAND`]
+/// of φ and ¾φ) and `f64_reverified`. With `None` the output is the same.
 ///
 /// Returns motifs sorted by descending support. Panics if
 /// `config.min_observations` differs from the index's.
@@ -599,7 +520,86 @@ pub fn discover_motifs_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{cor_matrix, profile_series};
     use crate::similarity::cor;
+    use proptest::prelude::*;
+
+    /// The exhaustive dense front half — every eligible pair evaluated into
+    /// a [`CondensedMatrix`](crate::engine::CondensedMatrix) and scanned in
+    /// row-major order — feeding the shared back half. It is the reference
+    /// the sketch-pruned production path must match bit for bit.
+    fn discover_motifs_dense(windows: &[Vec<f64>], config: &MotifConfig) -> Vec<Motif> {
+        let mut slot: Vec<Option<usize>> = vec![None; windows.len()];
+        let mut eligible: Vec<usize> = Vec::new();
+        for (i, w) in windows.iter().enumerate() {
+            if w.iter().filter(|v| v.is_finite()).count() >= config.min_observations {
+                slot[i] = Some(eligible.len());
+                eligible.push(i);
+            }
+        }
+        let eligible_windows: Vec<&Vec<f64>> = eligible.iter().map(|&i| &windows[i]).collect();
+        let profiles = profile_series(&eligible_windows);
+        let matrix = cor_matrix(&profiles, &CorMatrixConfig::default());
+        let sim = |i: usize, j: usize| -> f32 {
+            match (slot[i], slot[j]) {
+                (Some(a), Some(b)) => matrix.get(a, b),
+                _ => 0.0,
+            }
+        };
+        let mut exact = ExactChecker::new(&profiles, &slot);
+        let mut candidate_pairs: Vec<(usize, usize)> = Vec::new();
+        for (a, &i) in eligible.iter().enumerate() {
+            for (b, &j) in eligible.iter().enumerate().skip(a + 1) {
+                if exact.meets(matrix.get(a, b), i, j, config.phi, None) {
+                    candidate_pairs.push((i, j));
+                }
+            }
+        }
+        assemble_motifs(
+            windows.len(),
+            candidate_pairs,
+            &sim,
+            &mut exact,
+            config,
+            None,
+        )
+    }
+
+    /// A traffic sample that may be a NaN hole (missing minute) or a
+    /// quantized value (heavy ties) — the two regimes that exercise the
+    /// engine's pairwise-deletion fallback and tie corrections.
+    fn holey_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            5 => 0.0f64..1e7,
+            2 => Just(f64::NAN),
+            3 => (0u32..4).prop_map(|q| (q * 250) as f64),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Sketch-pruned motif discovery returns exactly the motifs of the
+        /// dense oracle — same members, same order — for arbitrary window
+        /// sets and thresholds.
+        #[test]
+        fn pruned_motifs_match_dense(
+            data in prop::collection::vec(holey_value(), 40..120),
+            len in 6usize..12,
+            phi in 0.2f64..0.95,
+            merge in 0.1f64..0.9,
+        ) {
+            let windows: Vec<Vec<f64>> = data.chunks_exact(len).map(|c| c.to_vec()).collect();
+            if windows.len() < 2 {
+                continue;
+            }
+            let config = MotifConfig { phi, merge_threshold: merge, ..MotifConfig::default() };
+            prop_assert_eq!(
+                discover_motifs_dense(&windows, &config),
+                discover_motifs(&windows, &config)
+            );
+        }
+    }
 
     /// An evening-shaped window (8 three-hour bins), with variation.
     fn evening(seed: usize) -> Vec<f64> {
@@ -796,9 +796,13 @@ mod tests {
         ];
         let index = MotifIndex::new(&windows, MotifConfig::default().min_observations);
         for config in &configs {
-            let dense = discover_motifs(&windows, config);
-            let pruned = discover_motifs_pruned(&windows, config);
-            assert_eq!(dense, pruned, "phi {}", config.phi);
+            let dense = discover_motifs_dense(&windows, config);
+            assert_eq!(
+                dense,
+                discover_motifs(&windows, config),
+                "phi {}",
+                config.phi
+            );
             let indexed = discover_motifs_indexed(&index, config, None);
             assert_eq!(dense, indexed, "indexed, phi {}", config.phi);
         }
@@ -806,8 +810,8 @@ mod tests {
 
     #[test]
     fn one_index_serves_daily_and_weekly_families() {
-        // The satellite: one shared sketch index reused across window
-        // families and configs, instead of rebuilding per family.
+        // One shared sketch index reused across window families and
+        // configs, instead of rebuilding per family.
         let windows: Vec<Vec<f64>> = (0..5).map(evening).chain((0..5).map(morning)).collect();
         let index = MotifIndex::new(&windows, 3);
         assert_eq!(index.n_windows(), 10);
@@ -819,7 +823,7 @@ mod tests {
             };
             assert_eq!(
                 discover_motifs_indexed(&index, &config, None),
-                discover_motifs(&windows, &config),
+                discover_motifs_dense(&windows, &config),
                 "phi {phi}"
             );
         }

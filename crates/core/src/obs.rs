@@ -19,9 +19,10 @@
 //!   [`StageSnapshot::conserved`]) and tightens to `entered == exited` at
 //!   quiescence ([`StageSnapshot::quiescent`]).
 //! * [`PipelineObs`] — the registry wired through the batch analysis
-//!   pipeline: correlation-engine profile build and row fill, motif
+//!   pipeline: the pruned matrix build (row fill, prune tiers), motif
 //!   discovery (candidate pairs evaluated / pruned / grown / merged, the
-//!   near-threshold instrument), and stationarity sweeps.
+//!   near-threshold instrument), the granularity/stationarity sweep and
+//!   lag search.
 //!
 //! **Zero cost when disabled.** Instrumented entry points take
 //! `Option<&PipelineObs>`; with `None` no atomic is touched and no clock is
@@ -320,15 +321,16 @@ pub const NEAR_THRESHOLD_BAND: f64 = 1e-3;
 /// before, bit for bit.
 #[derive(Debug, Default)]
 pub struct PipelineObs {
-    /// Per-series profile construction ([`crate::engine::profile_series`]).
+    /// Per-window profile construction in a sweep cell
+    /// ([`crate::sweep`]) and per-series profiling in lag search.
     pub profile_build: Stage,
-    /// Condensed-matrix row fill ([`crate::engine::cor_matrix`]); one span
-    /// per row, across all worker threads.
+    /// Pruned-matrix row fill
+    /// ([`crate::engine::cor_matrix_pruned_observed`]); one span per row,
+    /// across all worker threads.
     pub row_fill: Stage,
-    /// One whole motif-discovery run.
+    /// One whole motif-discovery run
+    /// ([`crate::motif::discover_motifs_indexed`]).
     pub motif_discovery: Stage,
-    /// One strong-stationarity sweep over a window set.
-    pub stationarity_sweep: Stage,
     /// One granularity-pyramid construction (prefix sums plus levels) for a
     /// series entering the Definition-3 sweep.
     pub pyramid_build: Stage,
@@ -338,8 +340,8 @@ pub struct PipelineObs {
     /// One window-set scoring pass (profiles plus the fused pair loop) for
     /// one sweep cell.
     pub window_score: Stage,
-    /// Per-series pruning-sketch construction
-    /// ([`crate::engine::sketch_series`]).
+    /// Per-series pruning-sketch construction in lag search
+    /// ([`crate::lagsearch`]).
     pub sketch_build: Stage,
     /// One `(series, scale)` lag-search preparation: the correlation kernel
     /// side, pruning sketch and energy/missingness prefixes built on top of
@@ -363,7 +365,7 @@ pub struct PipelineObs {
     /// Comparisons landing within [`NEAR_THRESHOLD_BAND`] of ¾φ.
     pub near_group: Counter,
     /// Near-threshold comparisons re-verified in f64 (the
-    /// `CondensedMatrix` f32 quantization guard).
+    /// f32 similarity-matrix quantization guard).
     pub f64_reverified: Counter,
     /// Two-sample KS tests run by stationarity sweeps.
     pub ks_tests: Counter,
@@ -421,7 +423,6 @@ impl PipelineObs {
                 ("profile_build", self.profile_build.snapshot()),
                 ("row_fill", self.row_fill.snapshot()),
                 ("motif_discovery", self.motif_discovery.snapshot()),
-                ("stationarity_sweep", self.stationarity_sweep.snapshot()),
                 ("pyramid_build", self.pyramid_build.snapshot()),
                 ("rebin", self.rebin.snapshot()),
                 ("window_score", self.window_score.snapshot()),

@@ -12,7 +12,6 @@
 //! calendar windows* — exactly the regularity that motifs formalize.
 
 use crate::engine::cor_profiled;
-use crate::obs::{sim_millis, PipelineObs};
 use wtts_stats::{ks_two_sample, CorProfile, CorScratch, ALPHA};
 
 /// The paper's correlation threshold for strong stationarity.
@@ -39,30 +38,17 @@ impl StationarityCheck {
 }
 
 /// Checks strong stationarity across `windows` (each a slice of samples at
-/// the same binning), using `cor_threshold` and significance `alpha`.
+/// the same binning) with the paper's thresholds: every pair must have
+/// `cor > 0.6` and no two-sample KS test may reject at α = 0.05.
 ///
 /// Windows with no finite observation are skipped — a gateway that missed a
 /// whole week is judged on the weeks it reported. Returns `None` when fewer
 /// than two windows carry observations (stationarity is then undefined).
-pub fn strong_stationarity_at(
-    windows: &[&[f64]],
-    cor_threshold: f64,
-    alpha: f64,
-) -> Option<StationarityCheck> {
-    strong_stationarity_observed(windows, cor_threshold, alpha, None)
-}
-
-/// [`strong_stationarity_at`] with optional observability: when `obs` is
-/// `Some`, the sweep opens a span on [`PipelineObs::stationarity_sweep`],
-/// counts each two-sample KS test on `ks_tests`, and records every pairwise
-/// similarity (in thousandths) into `stationarity_sim_millis`. With `None`
-/// the sweep is exactly `strong_stationarity_at`.
-pub fn strong_stationarity_observed(
-    windows: &[&[f64]],
-    cor_threshold: f64,
-    alpha: f64,
-    obs: Option<&PipelineObs>,
-) -> Option<StationarityCheck> {
+///
+/// This is the Definition-2 reference. Figures and experiments score
+/// stationarity through [`crate::sweep`], whose fused pair loop is tested
+/// bit for bit against this function.
+pub fn strong_stationarity(windows: &[&[f64]]) -> Option<StationarityCheck> {
     let observed: Vec<&&[f64]> = windows
         .iter()
         .filter(|w| w.iter().any(|v| v.is_finite()))
@@ -70,17 +56,10 @@ pub fn strong_stationarity_observed(
     if observed.len() < 2 {
         return None;
     }
-    let _span = obs.map(|o| o.stationarity_sweep.enter());
     // Profile each window once; the quadratic pair loop then reuses the
     // per-window masks, moments and rank artifacts (full f64 precision, as
     // min_cor feeds threshold comparisons downstream).
-    let profiles: Vec<CorProfile> = observed
-        .iter()
-        .map(|w| {
-            let _p = obs.map(|o| o.profile_build.enter());
-            CorProfile::new(w)
-        })
-        .collect();
+    let profiles: Vec<CorProfile> = observed.iter().map(|w| CorProfile::new(w)).collect();
     let mut scratch = CorScratch::new();
     let mut min_cor = f64::INFINITY;
     let mut correlations_pass = true;
@@ -89,19 +68,11 @@ pub fn strong_stationarity_observed(
         for j in (i + 1)..observed.len() {
             let c = cor_profiled(&profiles[i], &profiles[j], &mut scratch);
             min_cor = min_cor.min(c);
-            if c <= cor_threshold {
+            if c <= STATIONARITY_COR {
                 correlations_pass = false;
             }
-            if let Some(o) = obs {
-                o.stationarity_sim_millis.record(sim_millis(c));
-            }
-            if let Some(ks) = ks_two_sample(observed[i], observed[j]) {
-                if let Some(o) = obs {
-                    o.ks_tests.incr();
-                }
-                if ks.rejected(alpha) {
-                    ks_rejected = true;
-                }
+            if ks_two_sample(observed[i], observed[j]).is_some_and(|ks| ks.rejected(ALPHA)) {
+                ks_rejected = true;
             }
         }
     }
@@ -111,11 +82,6 @@ pub fn strong_stationarity_observed(
         ks_rejected,
         n_windows: observed.len(),
     })
-}
-
-/// Definition 2 with the paper's thresholds (`cor > 0.6`, α = 0.05).
-pub fn strong_stationarity(windows: &[&[f64]]) -> Option<StationarityCheck> {
-    strong_stationarity_at(windows, STATIONARITY_COR, ALPHA)
 }
 
 #[cfg(test)]
@@ -201,11 +167,21 @@ mod tests {
 
     #[test]
     fn threshold_is_strict() {
-        // Two windows correlating at ~exactly the threshold must fail (the
-        // definition demands > 0.6).
-        let w1 = shaped_window(0);
-        let check = strong_stationarity_at(&[&w1, &w1], 1.1, 0.05).unwrap();
-        assert!(!check.correlations_pass, "cor of 1.0 is not > 1.1");
+        // Definition 2 demands cor > 0.6. Moving the largest value of
+        // 1..=10 to the front leaves 9 of 45 pairs discordant: Kendall's τ
+        // is exactly 27/45 = 0.6 and the only significant coefficient, and
+        // the shared value set keeps the KS test quiet.
+        let x: Vec<f64> = (1..=10).map(f64::from).collect();
+        let mut y = x.clone();
+        y.rotate_right(1);
+        assert_eq!(
+            cor(&x, &y),
+            STATIONARITY_COR,
+            "premise: cor on the threshold"
+        );
+        let check = strong_stationarity(&[&x, &y]).unwrap();
+        assert!(!check.correlations_pass, "cor of exactly 0.6 is not > 0.6");
+        assert!(!check.ks_rejected);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use wtts_core::engine::{
     cor_matrix, cor_matrix_pruned, correlation_similarity_profiled, profile_series, sketch_series,
     CorMatrixConfig, PruneConfig,
 };
-use wtts_core::motif::{discover_motifs, discover_motifs_pruned, MotifConfig};
 use wtts_core::sax::{alphabet_utilization, dominant_symbol_share, paa, sax_word};
 use wtts_core::similarity::{cor, correlation_similarity};
 use wtts_core::stationarity::strong_stationarity;
@@ -308,27 +307,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Sketch-pruned motif discovery returns exactly the motifs of the
-    /// dense path — same members, same order — for arbitrary window sets
-    /// and thresholds.
-    #[test]
-    fn pruned_motifs_match_dense(
-        data in prop::collection::vec(holey_value(), 40..120),
-        len in 6usize..12,
-        phi in 0.2f64..0.95,
-        merge in 0.1f64..0.9,
-    ) {
-        let windows: Vec<Vec<f64>> = data.chunks_exact(len).map(|c| c.to_vec()).collect();
-        if windows.len() < 2 {
-            continue;
-        }
-        let config = MotifConfig { phi, merge_threshold: merge, ..MotifConfig::default() };
-        prop_assert_eq!(
-            discover_motifs(&windows, &config),
-            discover_motifs_pruned(&windows, &config)
-        );
     }
 
     /// The profiled Definition 1 result matches correlation_similarity

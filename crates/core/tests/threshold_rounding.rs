@@ -11,12 +11,11 @@
 //! them (re-verifying near-threshold comparisons in `f64`), while pairs
 //! comfortably over the threshold still join.
 
-use wtts_core::motif::{discover_motifs, discover_motifs_observed, MotifConfig};
+use wtts_core::motif::{discover_motifs, discover_motifs_indexed, MotifConfig, MotifIndex};
 use wtts_core::obs::PipelineObs;
-use wtts_core::stationarity::strong_stationarity_at;
 use wtts_core::{
-    cor, cor_matrix, cor_matrix_observed, profile_series, profile_series_observed,
-    strong_stationarity_observed, CorMatrixConfig,
+    cor, cor_matrix_pruned, cor_matrix_pruned_observed, profile_series, sketch_series,
+    CorMatrixConfig, PruneConfig,
 };
 
 /// The base window: one large outlier followed by scrambled small values.
@@ -148,7 +147,9 @@ fn clearly_similar_pair_still_forms_a_motif() {
 fn near_threshold_pair_is_reverified_and_counted() {
     let (x, y) = pair_rounding_up_across(0.8, 24);
     let obs = PipelineObs::new();
-    let motifs = discover_motifs_observed(&[x, y], &MotifConfig::default(), Some(&obs));
+    let config = MotifConfig::default();
+    let index = MotifIndex::new(&[x, y], config.min_observations);
+    let motifs = discover_motifs_indexed(&index, &config, Some(&obs));
     assert!(motifs.is_empty());
     let snap = obs.snapshot();
     assert!(snap.quiescent(), "all stages quiescent after a run");
@@ -211,48 +212,47 @@ fn observed_runs_are_bit_identical_to_unobserved() {
     let obs = PipelineObs::new();
 
     // Motif discovery.
-    let plain = discover_motifs(&windows, &MotifConfig::default());
-    let observed = discover_motifs_observed(&windows, &MotifConfig::default(), Some(&obs));
+    let config = MotifConfig::default();
+    let plain = discover_motifs(&windows, &config);
+    let index = MotifIndex::new(&windows, config.min_observations);
+    let observed = discover_motifs_indexed(&index, &config, Some(&obs));
     assert_eq!(plain, observed);
 
-    // The condensed matrix, compared bit for bit.
+    // The pruned matrix: same survivors, same bits, same tier books.
     let profiles = profile_series(&windows);
-    let profiles_obs = profile_series_observed(&windows, Some(&obs));
-    let config = CorMatrixConfig::default();
-    let m_plain = cor_matrix(&profiles, &config);
-    let m_obs = cor_matrix_observed(&profiles_obs, &config, Some(&obs));
-    assert_eq!(m_plain.n(), m_obs.n());
-    for (a, b) in m_plain.values().iter().zip(m_obs.values()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    // Stationarity sweeps, min_cor compared bit for bit.
-    let refs: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
-    let s_plain = strong_stationarity_at(&refs, 0.6, 0.05).unwrap();
-    let s_obs = strong_stationarity_observed(&refs, 0.6, 0.05, Some(&obs)).unwrap();
-    assert_eq!(s_plain.min_cor.to_bits(), s_obs.min_cor.to_bits());
+    let prune = PruneConfig::at_threshold(0.6);
+    let sketches = sketch_series(&profiles, &prune.sketch);
+    let (m_plain, s_plain) = cor_matrix_pruned(&profiles, &sketches, &prune);
+    let (m_obs, s_obs) = cor_matrix_pruned_observed(&profiles, &sketches, &prune, Some(&obs));
     assert_eq!(s_plain, s_obs);
+    let bits = |m: &wtts_core::SparseCorMatrix| -> Vec<(usize, usize, u32)> {
+        m.entries().map(|(i, j, v)| (i, j, v.to_bits())).collect()
+    };
+    assert_eq!(bits(&m_plain), bits(&m_obs));
 
-    // And the registry that watched all three is coherent.
+    // And the registry that watched both is coherent.
     let snap = obs.snapshot();
     assert!(snap.quiescent());
     assert!(snap.counter("pairs_evaluated") > 0);
-    assert!(snap.counter("ks_tests") > 0);
-    assert!(snap.stationarity_sim_millis.total() > 0);
+    assert!(snap.counter("prune_pairs_total") > 0);
 }
 
 /// The snapshot's conservation law holds at quiescence after a
-/// multi-threaded matrix fill.
+/// multi-threaded pruned matrix fill.
 #[test]
 fn row_fill_stages_conserve_across_threads() {
     let windows = mixed_windows();
     let obs = PipelineObs::new();
     let profiles = profile_series(&windows);
-    let config = CorMatrixConfig {
-        threads: Some(4),
-        ..CorMatrixConfig::default()
+    let config = PruneConfig {
+        matrix: CorMatrixConfig {
+            threads: Some(4),
+            ..CorMatrixConfig::default()
+        },
+        ..PruneConfig::at_threshold(0.6)
     };
-    let _ = cor_matrix_observed(&profiles, &config, Some(&obs));
+    let sketches = sketch_series(&profiles, &config.sketch);
+    let _ = cor_matrix_pruned_observed(&profiles, &sketches, &config, Some(&obs));
     let snap = obs.snapshot();
     assert!(snap.quiescent(), "{snap:?}");
     let row_fill = &snap
@@ -263,4 +263,30 @@ fn row_fill_stages_conserve_across_threads() {
         .1;
     assert_eq!(row_fill.entered, (windows.len() - 1) as u64);
     assert_eq!(row_fill.latency_ns.total(), row_fill.exited);
+}
+
+/// On an indexed discovery the motif scan visits exactly the pruned
+/// matrix's survivors: every pair the matrix evaluated is compared against
+/// φ once, and each comparison ends as a candidate or a rejection.
+#[test]
+fn motif_scan_visits_exactly_the_prune_survivors() {
+    let windows = mixed_windows();
+    let obs = PipelineObs::new();
+    let config = MotifConfig::default();
+    let index = MotifIndex::new(&windows, config.min_observations);
+    let motifs = discover_motifs_indexed(&index, &config, Some(&obs));
+    assert!(!motifs.is_empty());
+    let snap = obs.snapshot();
+    assert!(
+        snap.counter("prune_pairs_evaluated") < snap.counter("prune_pairs_total"),
+        "the fixture must prune some pairs: {snap:?}"
+    );
+    assert_eq!(
+        snap.counter("pairs_evaluated"),
+        snap.counter("prune_pairs_evaluated")
+    );
+    assert_eq!(
+        snap.counter("candidate_pairs") + snap.counter("pairs_pruned"),
+        snap.counter("pairs_evaluated")
+    );
 }

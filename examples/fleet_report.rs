@@ -7,21 +7,21 @@
 //! ```
 //!
 //! With `--metrics-json [PATH]` the report additionally runs an
-//! *instrumented* analysis pass — profile build, condensed-matrix row fill,
-//! motif discovery and a stationarity sweep over the fleet's daily windows,
-//! observed by a [`PipelineObs`] registry — and emits the resulting
+//! *instrumented* analysis pass — sketch-pruned motif discovery over the
+//! fleet's daily windows, the daily granularity/stationarity sweep and a
+//! lag search, observed by a [`PipelineObs`] registry — and emits the resulting
 //! [`ObsSnapshot`] (stage spans, counters, near-threshold instrument,
 //! conservation verdict) as JSON to `PATH` (or stdout when no path is
 //! given).
 
 use std::collections::HashMap;
 use wtts::core::lagsearch::{lag_search, LagSearchConfig};
-use wtts::core::motif::{discover_motifs_observed, MotifConfig};
+use wtts::core::motif::{discover_motifs_indexed, MotifConfig, MotifIndex};
 use wtts::core::obs::PipelineObs;
-use wtts::core::{strong_stationarity_observed, STATIONARITY_COR};
+use wtts::core::sweep::{daily_sweep, SweepConfig};
 use wtts::devid::DeviceType;
 use wtts::gwsim::{Fleet, FleetConfig, Reliability};
-use wtts::stats::{fit_zipf, ALPHA};
+use wtts::stats::fit_zipf;
 use wtts::timeseries::{aggregate, daily_windows, Granularity};
 
 /// Parses `--metrics-json [PATH]`: `None` = flag absent, `Some(None)` =
@@ -33,48 +33,53 @@ fn parse_metrics_json_arg() -> Option<Option<String>> {
 }
 
 /// The instrumented analysis pass behind `--metrics-json`: motif discovery
-/// and per-gateway stationarity sweeps over daily windows, every stage and
-/// counter recorded in `obs`.
+/// over daily windows, the daily sweep's per-weekday stationarity and a lag
+/// search, every stage and counter recorded in `obs`.
 fn observed_analysis(fleet: &Fleet, obs: &PipelineObs) {
     // Cap the gateway count so the quadratic motif sweep stays snappy in a
     // smoke run; the instrument needs coverage, not scale.
     let gateways = fleet.len().min(12);
-    let mut windows = Vec::new();
-    let mut per_gateway: Vec<Vec<Vec<f64>>> = Vec::new();
-    for id in 0..gateways {
-        let gw = fleet.gateway(id);
-        let agg = aggregate(&gw.aggregate_total(), Granularity::hours(3), 0);
-        let mine: Vec<Vec<f64>> = daily_windows(&agg, 2, 0)
-            .into_iter()
-            .map(|w| w.series.into_values())
-            .collect();
-        windows.extend(mine.iter().cloned());
-        per_gateway.push(mine);
-    }
-    let motifs = discover_motifs_observed(&windows, &MotifConfig::default(), Some(obs));
+    let series: Vec<_> = (0..gateways)
+        .map(|id| fleet.gateway(id).aggregate_total())
+        .collect();
+    let granularity = Granularity::hours(3);
+    let windows: Vec<Vec<f64>> = series
+        .iter()
+        .flat_map(|s| daily_windows(&aggregate(s, granularity, 0), 2, 0))
+        .map(|w| w.series.into_values())
+        .collect();
+    let motif_config = MotifConfig::default();
+    let index = MotifIndex::new(&windows, motif_config.min_observations);
+    let motifs = discover_motifs_indexed(&index, &motif_config, Some(obs));
     println!(
         "\ninstrumented pass: {} motifs over {} daily windows from {gateways} gateways",
         motifs.len(),
         windows.len()
     );
-    let mut stationary = 0usize;
-    for mine in &per_gateway {
-        let refs: Vec<&[f64]> = mine.iter().map(|w| w.as_slice()).collect();
-        if let Some(check) = strong_stationarity_observed(&refs, STATIONARITY_COR, ALPHA, Some(obs))
-        {
-            if check.is_stationary() {
-                stationary += 1;
-            }
-        }
-    }
-    println!("instrumented pass: {stationary}/{gateways} gateways strongly stationary (daily)");
+
+    // Definition 2 per weekday, through the same sweep the figures run.
+    let sweep = daily_sweep(
+        &series,
+        2,
+        &[granularity],
+        0,
+        &SweepConfig::default(),
+        Some(obs),
+    );
+    let stationary: usize = sweep
+        .cells
+        .iter()
+        .map(|row| row[0].stationary_weekday_count())
+        .sum();
+    println!(
+        "instrumented pass: {stationary} of {} (gateway, weekday) groups strongly stationary \
+         at {granularity}",
+        7 * gateways
+    );
 
     // Multi-scale lead/lag discovery over the same gateway subset: the
     // scale × lag grid runs through the pruned lag-search engine, so the
     // snapshot also carries the cell-conservation counters ci.sh checks.
-    let series: Vec<_> = (0..gateways)
-        .map(|id| fleet.gateway(id).aggregate_total())
-        .collect();
     let config = LagSearchConfig {
         scales: vec![Granularity::hours(1), Granularity::hours(2)],
         max_lag_bins: 12,
