@@ -29,7 +29,9 @@ metrics_json="$(mktemp /tmp/wtts_ci_metrics.XXXXXX.json)"
 sweep_metrics_json="$(mktemp /tmp/wtts_ci_sweep_metrics.XXXXXX.json)"
 prune_metrics_json="$(mktemp /tmp/wtts_ci_prune_metrics.XXXXXX.json)"
 lag_metrics_json="$(mktemp /tmp/wtts_ci_lag_metrics.XXXXXX.json)"
-trap 'rm -f "$metrics_json" "$sweep_metrics_json" "$prune_metrics_json" "$lag_metrics_json"' EXIT
+report_metrics_json="$(mktemp /tmp/wtts_ci_report_metrics.XXXXXX.json)"
+trap 'rm -f "$metrics_json" "$sweep_metrics_json" "$prune_metrics_json" "$lag_metrics_json" \
+    "$report_metrics_json"' EXIT
 
 echo "== granularity_sweep bench (smoke) =="
 cargo bench -p wtts-bench --bench granularity_sweep -- --smoke --metrics-json "$sweep_metrics_json"
@@ -151,6 +153,25 @@ for shard in m["per_shard"]:
     assert in_flight == 0, shard
 print("metrics JSON ok: conservation holds across", len(m["per_shard"]), "shards")
 PY
+cargo run --release --example fleet_report -- 4 --metrics-json "$report_metrics_json" >/dev/null
+python3 - "$report_metrics_json" <<'PY'
+import json, sys
+
+def reject_nonfinite(tok):
+    raise ValueError(f"non-finite constant {tok} leaked into JSON")
+
+with open(sys.argv[1]) as fh:
+    m = json.load(fh, parse_constant=reject_nonfinite)
+
+assert m["conserved"] is True, "stage books must balance"
+assert m["quiescent"] is True, "no span may be left open"
+assert m["stages"]["motif_discovery"]["entered"] == 1, m["stages"]
+c = m["counters"]
+assert c["pairs_evaluated"] == c["prune_pairs_evaluated"], c
+assert c["candidate_pairs"] + c["pairs_pruned"] == c["pairs_evaluated"], c
+print("report obs ok:", c["pairs_evaluated"], "motif pairs scanned of",
+      c["prune_pairs_total"])
+PY
 
 echo "== crash-recovery smoke =="
 wal_dir="$(mktemp -d /tmp/wtts_ci_wal.XXXXXX)"
@@ -160,7 +181,7 @@ clean_json="$(mktemp /tmp/wtts_ci_clean.XXXXXX.json)"
 recovered_out="$(mktemp /tmp/wtts_ci_recovered_out.XXXXXX.txt)"
 clean_out="$(mktemp /tmp/wtts_ci_clean_out.XXXXXX.txt)"
 trap 'rm -f "$metrics_json" "$sweep_metrics_json" "$prune_metrics_json" \
-    "$lag_metrics_json" "$recovered_json" "$clean_json" "$recovered_out" \
+    "$lag_metrics_json" "$report_metrics_json" "$recovered_json" "$clean_json" "$recovered_out" \
     "$clean_out"; rm -rf "$wal_dir" "$clean_wal_dir"' EXIT
 
 # Kill the ingest dead (process abort, no unwinding) mid-stream...
@@ -237,7 +258,7 @@ fault_wal_dir="$(mktemp -d /tmp/wtts_ci_wal_fault.XXXXXX)"
 fault_json="$(mktemp /tmp/wtts_ci_fault.XXXXXX.json)"
 fault_out="$(mktemp /tmp/wtts_ci_fault_out.XXXXXX.txt)"
 trap 'rm -f "$metrics_json" "$sweep_metrics_json" "$prune_metrics_json" \
-    "$lag_metrics_json" "$recovered_json" "$clean_json" "$recovered_out" \
+    "$lag_metrics_json" "$report_metrics_json" "$recovered_json" "$clean_json" "$recovered_out" \
     "$clean_out" "$fault_json" "$fault_out"; \
     rm -rf "$wal_dir" "$clean_wal_dir" "$fault_wal_dir"' EXIT
 
