@@ -1805,6 +1805,43 @@ mod tests {
         }
     }
 
+    /// Pins the snapshot byte layout of the ledger: distinct values in
+    /// every field, so a reordered or dropped field changes the bytes (and
+    /// with them every recorded state digest).
+    #[test]
+    fn state_encoding_is_pinned() {
+        let mut state = ShardState::new();
+        state.last_seq = 0x0102;
+        state.processed = 0x0304;
+        state.counts = ShardCounts {
+            ingested: 0x11,
+            baselines: 0x12,
+            reset_spanning_gaps: 0x13,
+            counter_resets: 0x14,
+            dropped_late: 0x15,
+            dropped_duplicate: 0x16,
+            dropped_future_jump: 0x17,
+            windows_sealed: 0x18,
+            windows_matched: 0x19,
+            windows_novel: 0x1a,
+            windows_insufficient: 0x1b,
+            partial_windows: 0x1c,
+        };
+        let hex: String = encode_state(&state)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "0201000000000000040300000000000011000000000000001200000000000000",
+                "1300000000000000140000000000000015000000000000001600000000000000",
+                "1700000000000000180000000000000019000000000000001a00000000000000",
+                "1b000000000000001c000000000000000000000000000000",
+            )
+        );
+    }
+
     fn flat_stream(gateway: u64, n: u32) -> Vec<IngestReport> {
         (0..n)
             .map(|m| report(gateway, 0, m, (m as u64 + 1) * 10))

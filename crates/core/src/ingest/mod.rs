@@ -1896,6 +1896,95 @@ mod tests {
         }
     }
 
+    /// Pins the metrics JSON byte for byte: every counter holds a distinct
+    /// value, so a reordered, renamed or dropped key changes the string.
+    #[test]
+    fn metrics_json_format_is_pinned() {
+        use crate::obs::HistogramSnapshot;
+        let stage = |base: u64| StageSnapshot {
+            entered: base + 2,
+            exited: base + 1,
+            in_flight: 1,
+            latency_ns: HistogramSnapshot {
+                counts: vec![0, base, 2],
+            },
+        };
+        let shard = |base: u64| ShardSnapshot {
+            queue_depth: base as usize,
+            queue_peak: base as usize + 1,
+            processed: base + 2,
+            batch_stage: stage(base + 3),
+            wal_append: stage(base + 4),
+            snapshot_write: stage(base + 5),
+        };
+        let m = MetricsSnapshot {
+            offered: 1,
+            ingested: 2,
+            baselines: 3,
+            reset_spanning_gaps: 4,
+            counter_resets: 5,
+            dropped_late: 6,
+            dropped_duplicate: 7,
+            dropped_future_jump: 8,
+            dropped_queue_closed: 9,
+            windows_sealed: 10,
+            windows_matched: 11,
+            windows_novel: 12,
+            windows_insufficient: 13,
+            partial_windows: 14,
+            wal_records: 15,
+            wal_torn_records: 16,
+            wal_replayed: 17,
+            wal_io_retries: 18,
+            wal_io_gave_up: 19,
+            wal_gap_records: 20,
+            wal_lost_records: 21,
+            wal_segments_created: 22,
+            wal_segments_compacted: 23,
+            snapshots_written: 24,
+            snapshots_discarded: 25,
+            snapshot_tmp_swept: 26,
+            lock_takeovers: 27,
+            recoveries: 28,
+            replay: stage(29),
+            per_shard: vec![shard(40), shard(50)],
+        };
+        assert_eq!(
+            m.to_json(),
+            concat!(
+                r#"{"offered":1,"ingested":2,"baselines":3,"reset_spanning_gaps":4,"#,
+                r#""counter_resets":5,"dropped_late":6,"dropped_duplicate":7,"#,
+                r#""dropped_future_jump":8,"dropped_queue_closed":9,"windows_sealed":10,"#,
+                r#""windows_matched":11,"windows_novel":12,"windows_insufficient":13,"#,
+                r#""partial_windows":14,"wal_records":15,"wal_torn_records":16,"#,
+                r#""wal_replayed":17,"wal_io_retries":18,"wal_io_gave_up":19,"#,
+                r#""wal_gap_records":20,"wal_lost_records":21,"wal_segments_created":22,"#,
+                r#""wal_segments_compacted":23,"snapshots_written":24,"snapshots_discarded":25,"#,
+                r#""snapshot_tmp_swept":26,"lock_takeovers":27,"recoveries":28,"#,
+                r#""replay":{"entered":31,"exited":30,"in_flight":1,"latency_ns":{"count":31,"#,
+                r#""p50_le":1,"p99_le":3,"mean_le":1.1290322580645162,"buckets":[[1,29],[3,"#,
+                r#"2]]}},"fully_accounted":false,"durably_accounted":false,"durability_gap":41,"#,
+                r#""per_shard":[{"queue_depth":40,"queue_peak":41,"processed":42,"#,
+                r#""batches_entered":45,"batches_exited":44,"batches_in_flight":1,"#,
+                r#""batch_latency_ns":{"count":45,"p50_le":1,"p99_le":3,"#,
+                r#""mean_le":1.0888888888888888,"buckets":[[1,43],[3,2]]},"#,
+                r#""wal_append":{"entered":46,"exited":45,"in_flight":1,"#,
+                r#""latency_ns":{"count":46,"p50_le":1,"p99_le":3,"mean_le":1.0869565217391304,"#,
+                r#""buckets":[[1,44],[3,2]]}},"snapshot_write":{"entered":47,"exited":46,"#,
+                r#""in_flight":1,"latency_ns":{"count":47,"p50_le":1,"p99_le":3,"#,
+                r#""mean_le":1.0851063829787233,"buckets":[[1,45],[3,2]]}}},{"queue_depth":50,"#,
+                r#""queue_peak":51,"processed":52,"batches_entered":55,"batches_exited":54,"#,
+                r#""batches_in_flight":1,"batch_latency_ns":{"count":55,"p50_le":1,"p99_le":3,"#,
+                r#""mean_le":1.0727272727272728,"buckets":[[1,53],[3,2]]},"#,
+                r#""wal_append":{"entered":56,"exited":55,"in_flight":1,"#,
+                r#""latency_ns":{"count":56,"p50_le":1,"p99_le":3,"mean_le":1.0714285714285714,"#,
+                r#""buckets":[[1,54],[3,2]]}},"snapshot_write":{"entered":57,"exited":56,"#,
+                r#""in_flight":1,"latency_ns":{"count":57,"p50_le":1,"p99_le":3,"#,
+                r#""mean_le":1.0701754385964912,"buckets":[[1,55],[3,2]]}}}]}"#,
+            )
+        );
+    }
+
     #[test]
     fn empty_stream_yields_empty_summary() {
         let pipeline = IngestPipeline::new(test_config(4), Vec::new());

@@ -608,6 +608,96 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
+    /// Pins the report JSON byte for byte: every stage and counter holds a
+    /// distinct nonzero value, so a reordered, renamed or dropped key
+    /// changes the string.
+    #[test]
+    fn snapshot_json_format_is_pinned() {
+        let obs = PipelineObs::new();
+        let stages = [
+            &obs.profile_build,
+            &obs.row_fill,
+            &obs.motif_discovery,
+            &obs.pyramid_build,
+            &obs.rebin,
+            &obs.window_score,
+            &obs.sketch_build,
+            &obs.lag_prepare,
+            &obs.lag_pair_scan,
+        ];
+        for (i, stage) in (1u64..).zip(stages) {
+            stage.entered.add(i + 1);
+            stage.exited.add(i);
+            stage.in_flight.incr();
+            stage.latency_ns.record(1 << i);
+        }
+        let counters = [
+            &obs.pairs_evaluated,
+            &obs.candidate_pairs,
+            &obs.pairs_pruned,
+            &obs.members_grown,
+            &obs.motifs_merged,
+            &obs.near_phi,
+            &obs.near_group,
+            &obs.f64_reverified,
+            &obs.ks_tests,
+            &obs.rebins_pyramid,
+            &obs.rebins_direct,
+            &obs.level_folds,
+            &obs.prune_pairs_total,
+            &obs.pairs_pruned_degenerate,
+            &obs.pairs_pruned_sax,
+            &obs.pairs_pruned_moment,
+            &obs.prune_pairs_evaluated,
+            &obs.prune_mask_fallthrough,
+            &obs.lag_cells_total,
+            &obs.lag_cells_pruned_degenerate,
+            &obs.lag_cells_pruned_sketch,
+            &obs.lag_cells_pruned_energy,
+            &obs.lag_cells_evaluated,
+        ];
+        for (i, counter) in (100u64..).zip(counters) {
+            counter.add(i);
+        }
+        obs.stationarity_sim_millis.record(600);
+        obs.stationarity_sim_millis.record(800);
+        assert_eq!(
+            obs.snapshot().to_json(),
+            concat!(
+                r#"{"stages":{"profile_build":{"entered":2,"exited":1,"in_flight":1,"#,
+                r#""latency_ns":{"count":1,"p50_le":3,"p99_le":3,"mean_le":3,"buckets":[[3,"#,
+                r#"1]]}},"row_fill":{"entered":3,"exited":2,"in_flight":1,"#,
+                r#""latency_ns":{"count":1,"p50_le":7,"p99_le":7,"mean_le":7,"buckets":[[7,"#,
+                r#"1]]}},"motif_discovery":{"entered":4,"exited":3,"in_flight":1,"#,
+                r#""latency_ns":{"count":1,"p50_le":15,"p99_le":15,"mean_le":15,"buckets":[[15,"#,
+                r#"1]]}},"pyramid_build":{"entered":5,"exited":4,"in_flight":1,"#,
+                r#""latency_ns":{"count":1,"p50_le":31,"p99_le":31,"mean_le":31,"buckets":[[31,"#,
+                r#"1]]}},"rebin":{"entered":6,"exited":5,"in_flight":1,"latency_ns":{"count":1,"#,
+                r#""p50_le":63,"p99_le":63,"mean_le":63,"buckets":[[63,1]]}},"#,
+                r#""window_score":{"entered":7,"exited":6,"in_flight":1,"#,
+                r#""latency_ns":{"count":1,"p50_le":127,"p99_le":127,"mean_le":127,"#,
+                r#""buckets":[[127,1]]}},"sketch_build":{"entered":8,"exited":7,"in_flight":1,"#,
+                r#""latency_ns":{"count":1,"p50_le":255,"p99_le":255,"mean_le":255,"#,
+                r#""buckets":[[255,1]]}},"lag_prepare":{"entered":9,"exited":8,"in_flight":1,"#,
+                r#""latency_ns":{"count":1,"p50_le":511,"p99_le":511,"mean_le":511,"#,
+                r#""buckets":[[511,1]]}},"lag_pair_scan":{"entered":10,"exited":9,"#,
+                r#""in_flight":1,"latency_ns":{"count":1,"p50_le":1023,"p99_le":1023,"#,
+                r#""mean_le":1023,"buckets":[[1023,1]]}}},"counters":{"pairs_evaluated":100,"#,
+                r#""candidate_pairs":101,"pairs_pruned":102,"members_grown":103,"#,
+                r#""motifs_merged":104,"near_phi":105,"near_group":106,"f64_reverified":107,"#,
+                r#""ks_tests":108,"rebins_pyramid":109,"rebins_direct":110,"level_folds":111,"#,
+                r#""prune_pairs_total":112,"pairs_pruned_degenerate":113,"#,
+                r#""pairs_pruned_sax":114,"pairs_pruned_moment":115,"#,
+                r#""prune_pairs_evaluated":116,"prune_mask_fallthrough":117,"#,
+                r#""lag_cells_total":118,"lag_cells_pruned_degenerate":119,"#,
+                r#""lag_cells_pruned_sketch":120,"lag_cells_pruned_energy":121,"#,
+                r#""lag_cells_evaluated":122},"stationarity_sim_millis":{"count":2,"#,
+                r#""p50_le":1023,"p99_le":1023,"mean_le":1023,"buckets":[[1023,2]]},"#,
+                r#""conserved":true,"quiescent":false}"#,
+            )
+        );
+    }
+
     #[test]
     fn non_finite_floats_serialize_as_null() {
         assert_eq!(json_f64(f64::NAN), "null");
