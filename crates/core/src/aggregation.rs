@@ -12,13 +12,13 @@
 //!   are compared (Mondays with Mondays, …); candidates range 1–180
 //!   minutes. The winner is 3 hours.
 //!
-//! The functions here are single-`(granularity, offset)` conveniences;
-//! evaluating a whole candidate grid should go through [`crate::sweep`],
+//! [`weekly_stationarity`] is a single-`(granularity, offset)` convenience;
+//! daily binnings and whole candidate grids go through [`crate::sweep`],
 //! which amortizes the per-series work (prefix-sum pyramid, window
 //! extraction, profiles) across all candidates and parallelizes the grid.
 
 use crate::stationarity::StationarityCheck;
-use crate::sweep::{daily_cell, weekly_cell};
+use crate::sweep::weekly_cell;
 use wtts_timeseries::{Granularity, TimeSeries};
 
 /// Mean window correlation of one gateway at one candidate binning.
@@ -34,20 +34,6 @@ pub struct GranularityScore {
     pub n_pairs: usize,
 }
 
-/// Mean same-weekday correlation among the daily windows of `series`:
-/// Mondays against Mondays, Tuesdays against Tuesdays, and so on.
-///
-/// `None` when no weekday has two observed instances. For candidate grids,
-/// prefer [`crate::sweep::daily_sweep`].
-pub fn daily_window_correlation(
-    series: &TimeSeries,
-    weeks: u32,
-    granularity: Granularity,
-    offset_minutes: u32,
-) -> Option<GranularityScore> {
-    daily_cell(series, weeks, granularity, offset_minutes, false, None).score
-}
-
 /// Strong stationarity of the weekly windows at a binning (Definition 2
 /// applied to week-sized windows).
 pub fn weekly_stationarity(
@@ -57,28 +43,6 @@ pub fn weekly_stationarity(
     offset_minutes: u32,
 ) -> Option<StationarityCheck> {
     weekly_cell(series, weeks, granularity, offset_minutes, true, None).stationarity
-}
-
-/// Per-weekday strong stationarity of daily windows: entry `d` is the check
-/// over all instances of weekday `d` (Monday = 0), `None` where fewer than
-/// two instances carry observations.
-pub fn daily_stationarity_by_weekday(
-    series: &TimeSeries,
-    weeks: u32,
-    granularity: Granularity,
-    offset_minutes: u32,
-) -> [Option<StationarityCheck>; 7] {
-    daily_cell(series, weeks, granularity, offset_minutes, true, None).stationarity
-}
-
-/// Number of strongly stationary weekdays of a gateway at a binning.
-pub fn stationary_weekday_count(
-    series: &TimeSeries,
-    weeks: u32,
-    granularity: Granularity,
-    offset_minutes: u32,
-) -> usize {
-    daily_cell(series, weeks, granularity, offset_minutes, true, None).stationary_weekday_count()
 }
 
 /// The score with the highest mean correlation (Definition 3's argmax).
@@ -96,6 +60,7 @@ pub fn best_score(scores: &[GranularityScore]) -> Option<&GranularityScore> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::daily_cell;
     use wtts_timeseries::{MINUTES_PER_DAY, MINUTES_PER_WEEK};
 
     /// Definition 3's weekly objective at one binning, as the sweep scores
@@ -107,6 +72,18 @@ mod tests {
         offset_minutes: u32,
     ) -> Option<GranularityScore> {
         weekly_cell(series, weeks, granularity, offset_minutes, false, None).score
+    }
+
+    /// Number of strongly stationary weekdays at one daily binning, as the
+    /// sweep counts them.
+    fn stationary_weekday_count(
+        series: &TimeSeries,
+        weeks: u32,
+        granularity: Granularity,
+        offset_minutes: u32,
+    ) -> usize {
+        daily_cell(series, weeks, granularity, offset_minutes, true, None)
+            .stationary_weekday_count()
     }
 
     /// Four weeks of per-minute traffic with a strict evening habit plus
@@ -185,7 +162,9 @@ mod tests {
     #[test]
     fn daily_correlation_regular_series() {
         let s = regular_series(3);
-        let score = daily_window_correlation(&s, 3, Granularity::hours(3), 0).unwrap();
+        let score = daily_cell(&s, 3, Granularity::hours(3), 0, false, None)
+            .score
+            .unwrap();
         assert!(score.mean_correlation > 0.9, "{score:?}");
         // 3 instances of each weekday -> 3 pairs x 7 days = 21.
         assert_eq!(score.n_pairs, 21);

@@ -9,7 +9,7 @@
 //! invariants under disk failure instead of hoping.
 //!
 //! Transient-failure handling lives here too: [`IoPolicy`] bounds
-//! retry-with-exponential-backoff, and [`with_retry`] is the single retry
+//! retry-with-exponential-backoff, and `with_retry` is the single retry
 //! loop every durable I/O call goes through (retries are counted by the
 //! caller via the returned attempt count).
 

@@ -63,7 +63,7 @@ use std::sync::{Arc, Condvar, Mutex};
 pub mod durable;
 
 use crate::dominance::{rank_dominants, DominantDevice, DOMINANCE_PHI};
-use crate::obs::{Stage, StageSnapshot};
+use crate::obs::{Counter, Stage, StageSnapshot};
 use crate::streaming::{best_match, MatchOutcome, MotifTemplate, OnlinePearson, WindowAccumulator};
 use wtts_timeseries::{counter_delta, CounterDelta, CounterReport, Minute, WindowKind};
 
@@ -178,40 +178,237 @@ struct ShardMetrics {
     snapshot_write: Stage,
 }
 
-/// The plain (non-atomic) per-shard outcome ledger.
+/// Declares every ingest counter once, in report (JSON) order, with its doc
+/// comment and its class, and generates everything that lists counters:
 ///
-/// Shard workers classify every report into this struct on the hot path —
-/// plain `u64` adds, no atomics — and fold the delta into the shared
-/// [`IngestMetrics`] once per batch. Because the ledger is an ordinary
-/// value owned by the shard, it serializes into durable snapshots and
-/// restores exactly, which is what lets a recovered run's metrics books
-/// match an uninterrupted run's bit for bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCounts {
+/// * `ledger` — a field of the per-shard [`ShardCounts`]: classified on the
+///   hot path with plain `u64` adds, folded into the registry once per batch
+///   ([`ShardCounts::minus`], `IngestMetrics::apply`), serialized in durable
+///   snapshots, and replay-invariant;
+/// * `invariant` — registry-only and replay-invariant, counted where the
+///   event happens rather than in a shard ledger;
+/// * `bookkeeping` — durability bookkeeping that legitimately differs
+///   across a crash, zeroed by [`MetricsSnapshot::replay_invariant_core`].
+///
+/// From the list come [`ShardCounts`] with its delta and encoding visitors,
+/// the [`IngestMetrics`] counters with `new`/`apply`/`snapshot`, the counter
+/// fields of [`MetricsSnapshot`], its replay-invariant projection and the
+/// keyed counter pairs of its JSON.
+macro_rules! ingest_counters {
+    // Sort each declaration into the ledger and bookkeeping lists, keeping
+    // the full list in declaration order.
+    (@sort [$($ledger:tt)*] [$($all:tt)*] [$($book:tt)*]
+        $(#[$doc:meta])* ledger $name:ident, $($rest:tt)*) => {
+        ingest_counters!(@sort
+            [$($ledger)* [$(#[$doc])*] $name] [$($all)* [$(#[$doc])*] $name] [$($book)*]
+            $($rest)*);
+    };
+    (@sort [$($ledger:tt)*] [$($all:tt)*] [$($book:tt)*]
+        $(#[$doc:meta])* invariant $name:ident, $($rest:tt)*) => {
+        ingest_counters!(@sort
+            [$($ledger)*] [$($all)* [$(#[$doc])*] $name] [$($book)*]
+            $($rest)*);
+    };
+    (@sort [$($ledger:tt)*] [$($all:tt)*] [$($book:tt)*]
+        $(#[$doc:meta])* bookkeeping $name:ident, $($rest:tt)*) => {
+        ingest_counters!(@sort
+            [$($ledger)*] [$($all)* [$(#[$doc])*] $name] [$($book)* $name]
+            $($rest)*);
+    };
+    (@sort [$([$(#[$ldoc:meta])*] $ledger:ident)*] [$([$(#[$doc:meta])*] $name:ident)*]
+        [$($book:ident)*]) => {
+        /// The plain (non-atomic) per-shard outcome ledger.
+        ///
+        /// Shard workers classify every report into this struct on the hot
+        /// path — plain `u64` adds, no atomics — and fold the delta into the
+        /// shared [`IngestMetrics`] once per batch. Because the ledger is an
+        /// ordinary value owned by the shard, it serializes into durable
+        /// snapshots and restores exactly, which is what lets a recovered
+        /// run's metrics books match an uninterrupted run's bit for bit.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ShardCounts {
+            $($(#[$ldoc])* pub $ledger: u64,)*
+        }
+
+        impl ShardCounts {
+            /// Number of ledger fields.
+            const LEN: usize = [$(stringify!($ledger)),*].len();
+
+            /// Field-wise difference `self - earlier` (the per-batch delta
+            /// folded into the atomic registry). `earlier` must be a previous
+            /// value of the same ledger, so every field of `self` is `>=` its
+            /// counterpart.
+            fn minus(&self, earlier: &ShardCounts) -> ShardCounts {
+                ShardCounts {
+                    $($ledger: self.$ledger - earlier.$ledger,)*
+                }
+            }
+
+            /// The ledger fields in declaration order — the snapshot encoding.
+            pub(crate) fn fields(&self) -> [u64; ShardCounts::LEN] {
+                [$(self.$ledger),*]
+            }
+
+            /// Rebuilds a ledger from its fields in declaration order, as
+            /// [`ShardCounts::fields`] lists them.
+            pub(crate) fn try_from_fields<E>(
+                mut next: impl FnMut() -> Result<u64, E>,
+            ) -> Result<ShardCounts, E> {
+                Ok(ShardCounts {
+                    $($ledger: next()?,)*
+                })
+            }
+        }
+
+        /// Atomic metrics registry shared by the producer, every shard worker
+        /// and any observer thread. All updates are relaxed single-counter
+        /// increments; [`IngestMetrics::snapshot`] never blocks ingest.
+        #[derive(Debug)]
+        pub struct IngestMetrics {
+            $($name: Counter,)*
+            /// WAL-tail replay stage (one span per shard recovered).
+            replay: Stage,
+            shards: Vec<ShardMetrics>,
+        }
+
+        impl IngestMetrics {
+            fn new(shards: usize) -> IngestMetrics {
+                IngestMetrics {
+                    $($name: Counter::new(),)*
+                    replay: Stage::default(),
+                    shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
+                }
+            }
+
+            /// Folds a per-shard ledger delta into the atomic registry.
+            fn apply(&self, d: &ShardCounts) {
+                $(if d.$ledger > 0 {
+                    self.$ledger.add(d.$ledger);
+                })*
+            }
+
+            /// A consistent-enough point-in-time copy of every counter
+            /// (relaxed loads; cheap enough to poll at high rate while ingest
+            /// runs).
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.get(),)*
+                    replay: self.replay.snapshot(),
+                    per_shard: self.shards.iter().map(ShardMetrics::snapshot).collect(),
+                }
+            }
+        }
+
+        /// Point-in-time copy of the ingest counters.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Replay stage counters (one span per shard recovered).
+            pub replay: StageSnapshot,
+            /// Per-shard queue/throughput gauges.
+            pub per_shard: Vec<ShardSnapshot>,
+        }
+
+        impl MetricsSnapshot {
+            /// Every counter as a `(name, value)` pair, in declaration order.
+            fn counters(&self) -> [(&'static str, u64); [$(stringify!($name)),*].len()] {
+                [$((stringify!($name), self.$name)),*]
+            }
+
+            /// The deterministic projection of the snapshot: every field that
+            /// is a pure function of the report stream, with the
+            /// timing-dependent parts (latency histograms, queue gauges) and
+            /// the durability bookkeeping that legitimately differs across a
+            /// crash (snapshot/recovery counts) zeroed out. A recovered run
+            /// and an uninterrupted run over the same stream must agree
+            /// *exactly* on this projection — the headline invariant of
+            /// [`durable`].
+            pub fn replay_invariant_core(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($book: 0,)*
+                    replay: StageSnapshot::default(),
+                    per_shard: self
+                        .per_shard
+                        .iter()
+                        .map(|s| ShardSnapshot {
+                            processed: s.processed,
+                            ..ShardSnapshot::default()
+                        })
+                        .collect(),
+                    ..self.clone()
+                }
+            }
+        }
+    };
+    ($($decl:tt)*) => {
+        ingest_counters!(@sort [] [] [] $($decl)*);
+    };
+}
+
+ingest_counters! {
+    /// Reports offered to the pipeline.
+    invariant offered,
     /// Reports accepted (including baselines and reset-spanning gaps).
-    pub ingested: u64,
+    ledger ingested,
     /// Accepted reports that only (re-)established a device baseline.
-    pub baselines: u64,
+    ledger baselines,
     /// Accepted reports whose delta was voided by a reset-spanning gap.
-    pub reset_spanning_gaps: u64,
-    /// Adjacent-minute counter resets decoded.
-    pub counter_resets: u64,
+    ledger reset_spanning_gaps,
+    /// Adjacent-minute counter resets decoded (reboot / wrap / rejoin).
+    ledger counter_resets,
     /// Reports dropped as late.
-    pub dropped_late: u64,
+    ledger dropped_late,
     /// Reports dropped as duplicates.
-    pub dropped_duplicate: u64,
+    ledger dropped_duplicate,
     /// Reports dropped as uncorroborated future jumps.
-    pub dropped_future_jump: u64,
+    ledger dropped_future_jump,
+    /// Reports rejected because the shard queue was already closed (a
+    /// producer racing shutdown — the typed outcome that replaced a silent
+    /// enqueue-past-close bug; no worker will ever pop them).
+    invariant dropped_queue_closed,
     /// Complete calendar windows sealed.
-    pub windows_sealed: u64,
+    ledger windows_sealed,
     /// Sealed windows that matched a motif template.
-    pub windows_matched: u64,
-    /// Sealed windows matching no template.
-    pub windows_novel: u64,
+    ledger windows_matched,
+    /// Sealed windows matching no template (novel behavior).
+    ledger windows_novel,
     /// Sealed windows with too few observations to judge.
-    pub windows_insufficient: u64,
+    ledger windows_insufficient,
     /// Trailing partial windows flushed at end of stream.
-    pub partial_windows: u64,
+    ledger partial_windows,
+    /// Reports appended to the write-ahead log (durable runs only).
+    invariant wal_records,
+    /// Torn trailing WAL records discarded during recovery.
+    bookkeeping wal_torn_records,
+    /// Reports skipped on a resumed feed because the WAL already held them
+    /// (they were replayed from disk instead of re-offered).
+    bookkeeping wal_replayed,
+    /// WAL I/O operations retried after a transient failure.
+    bookkeeping wal_io_retries,
+    /// WAL I/O operations abandoned after the retry budget (each entered
+    /// or confirmed the degraded mode of its shard).
+    bookkeeping wal_io_gave_up,
+    /// Reports consumed while a shard ran degraded — computed but never
+    /// logged, a typed live durability gap.
+    bookkeeping wal_gap_records,
+    /// Reports a recovery proved missing from the log (a hole between
+    /// segment headers, or records only a now-dead snapshot covered).
+    bookkeeping wal_lost_records,
+    /// WAL segments opened (rotation included).
+    bookkeeping wal_segments_created,
+    /// Snapshot-covered segments deleted by compaction (plus recovery's
+    /// removal of fully-covered segments).
+    bookkeeping wal_segments_compacted,
+    /// Durable snapshots written.
+    bookkeeping snapshots_written,
+    /// Snapshots discarded at recovery (checksum failure).
+    bookkeeping snapshots_discarded,
+    /// Orphaned snapshot temp files swept at recovery.
+    bookkeeping snapshot_tmp_swept,
+    /// Stale/corrupt single-writer locks fenced via takeover.
+    bookkeeping lock_takeovers,
+    /// Recoveries performed (snapshot load + WAL tail replay).
+    bookkeeping recoveries,
 }
 
 impl ShardCounts {
@@ -231,175 +428,23 @@ impl ShardCounts {
             IngestOutcome::Dropped(DropReason::FutureJump) => self.dropped_future_jump += 1,
         }
     }
-
-    /// Field-wise difference `self - earlier` (the per-batch delta folded
-    /// into the atomic registry). `earlier` must be a previous value of the
-    /// same ledger, so every field of `self` is `>=` its counterpart.
-    fn minus(&self, earlier: &ShardCounts) -> ShardCounts {
-        ShardCounts {
-            ingested: self.ingested - earlier.ingested,
-            baselines: self.baselines - earlier.baselines,
-            reset_spanning_gaps: self.reset_spanning_gaps - earlier.reset_spanning_gaps,
-            counter_resets: self.counter_resets - earlier.counter_resets,
-            dropped_late: self.dropped_late - earlier.dropped_late,
-            dropped_duplicate: self.dropped_duplicate - earlier.dropped_duplicate,
-            dropped_future_jump: self.dropped_future_jump - earlier.dropped_future_jump,
-            windows_sealed: self.windows_sealed - earlier.windows_sealed,
-            windows_matched: self.windows_matched - earlier.windows_matched,
-            windows_novel: self.windows_novel - earlier.windows_novel,
-            windows_insufficient: self.windows_insufficient - earlier.windows_insufficient,
-            partial_windows: self.partial_windows - earlier.partial_windows,
-        }
-    }
 }
 
-/// Atomic metrics registry shared by the producer, every shard worker and
-/// any observer thread. All updates are `Relaxed` single-counter increments;
-/// [`IngestMetrics::snapshot`] never blocks ingest.
-#[derive(Debug)]
-pub struct IngestMetrics {
-    offered: AtomicU64,
-    ingested: AtomicU64,
-    baselines: AtomicU64,
-    reset_spanning_gaps: AtomicU64,
-    counter_resets: AtomicU64,
-    dropped_late: AtomicU64,
-    dropped_duplicate: AtomicU64,
-    dropped_future_jump: AtomicU64,
-    dropped_queue_closed: AtomicU64,
-    windows_sealed: AtomicU64,
-    windows_matched: AtomicU64,
-    windows_novel: AtomicU64,
-    windows_insufficient: AtomicU64,
-    partial_windows: AtomicU64,
-    wal_records: AtomicU64,
-    wal_torn_records: AtomicU64,
-    wal_replayed: AtomicU64,
-    wal_io_retries: AtomicU64,
-    wal_io_gave_up: AtomicU64,
-    wal_gap_records: AtomicU64,
-    wal_lost_records: AtomicU64,
-    wal_segments_created: AtomicU64,
-    wal_segments_compacted: AtomicU64,
-    snapshots_written: AtomicU64,
-    snapshots_discarded: AtomicU64,
-    snapshot_tmp_swept: AtomicU64,
-    lock_takeovers: AtomicU64,
-    recoveries: AtomicU64,
-    /// WAL-tail replay stage (one span per shard recovered).
-    replay: Stage,
-    shards: Vec<ShardMetrics>,
-}
-
-impl IngestMetrics {
-    fn new(shards: usize) -> IngestMetrics {
-        IngestMetrics {
-            offered: AtomicU64::new(0),
-            ingested: AtomicU64::new(0),
-            baselines: AtomicU64::new(0),
-            reset_spanning_gaps: AtomicU64::new(0),
-            counter_resets: AtomicU64::new(0),
-            dropped_late: AtomicU64::new(0),
-            dropped_duplicate: AtomicU64::new(0),
-            dropped_future_jump: AtomicU64::new(0),
-            dropped_queue_closed: AtomicU64::new(0),
-            windows_sealed: AtomicU64::new(0),
-            windows_matched: AtomicU64::new(0),
-            windows_novel: AtomicU64::new(0),
-            windows_insufficient: AtomicU64::new(0),
-            partial_windows: AtomicU64::new(0),
-            wal_records: AtomicU64::new(0),
-            wal_torn_records: AtomicU64::new(0),
-            wal_replayed: AtomicU64::new(0),
-            wal_io_retries: AtomicU64::new(0),
-            wal_io_gave_up: AtomicU64::new(0),
-            wal_gap_records: AtomicU64::new(0),
-            wal_lost_records: AtomicU64::new(0),
-            wal_segments_created: AtomicU64::new(0),
-            wal_segments_compacted: AtomicU64::new(0),
-            snapshots_written: AtomicU64::new(0),
-            snapshots_discarded: AtomicU64::new(0),
-            snapshot_tmp_swept: AtomicU64::new(0),
-            lock_takeovers: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            replay: Stage::default(),
-            shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
-        }
-    }
-
-    /// Folds a per-shard ledger delta into the atomic registry.
-    fn apply(&self, d: &ShardCounts) {
-        let add = |a: &AtomicU64, v: u64| {
-            if v > 0 {
-                a.fetch_add(v, Ordering::Relaxed);
-            }
-        };
-        add(&self.ingested, d.ingested);
-        add(&self.baselines, d.baselines);
-        add(&self.reset_spanning_gaps, d.reset_spanning_gaps);
-        add(&self.counter_resets, d.counter_resets);
-        add(&self.dropped_late, d.dropped_late);
-        add(&self.dropped_duplicate, d.dropped_duplicate);
-        add(&self.dropped_future_jump, d.dropped_future_jump);
-        add(&self.windows_sealed, d.windows_sealed);
-        add(&self.windows_matched, d.windows_matched);
-        add(&self.windows_novel, d.windows_novel);
-        add(&self.windows_insufficient, d.windows_insufficient);
-        add(&self.partial_windows, d.partial_windows);
-    }
-
-    /// A consistent-enough point-in-time copy of every counter (relaxed
-    /// loads; cheap enough to poll at high rate while ingest runs).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            offered: load(&self.offered),
-            ingested: load(&self.ingested),
-            baselines: load(&self.baselines),
-            reset_spanning_gaps: load(&self.reset_spanning_gaps),
-            counter_resets: load(&self.counter_resets),
-            dropped_late: load(&self.dropped_late),
-            dropped_duplicate: load(&self.dropped_duplicate),
-            dropped_future_jump: load(&self.dropped_future_jump),
-            dropped_queue_closed: load(&self.dropped_queue_closed),
-            windows_sealed: load(&self.windows_sealed),
-            windows_matched: load(&self.windows_matched),
-            windows_novel: load(&self.windows_novel),
-            windows_insufficient: load(&self.windows_insufficient),
-            partial_windows: load(&self.partial_windows),
-            wal_records: load(&self.wal_records),
-            wal_torn_records: load(&self.wal_torn_records),
-            wal_replayed: load(&self.wal_replayed),
-            wal_io_retries: load(&self.wal_io_retries),
-            wal_io_gave_up: load(&self.wal_io_gave_up),
-            wal_gap_records: load(&self.wal_gap_records),
-            wal_lost_records: load(&self.wal_lost_records),
-            wal_segments_created: load(&self.wal_segments_created),
-            wal_segments_compacted: load(&self.wal_segments_compacted),
-            snapshots_written: load(&self.snapshots_written),
-            snapshots_discarded: load(&self.snapshots_discarded),
-            snapshot_tmp_swept: load(&self.snapshot_tmp_swept),
-            lock_takeovers: load(&self.lock_takeovers),
-            recoveries: load(&self.recoveries),
-            replay: self.replay.snapshot(),
-            per_shard: self
-                .shards
-                .iter()
-                .map(|s| ShardSnapshot {
-                    queue_depth: s.queue_depth.load(Ordering::Relaxed),
-                    queue_peak: s.queue_peak.load(Ordering::Relaxed),
-                    processed: s.processed.load(Ordering::Relaxed),
-                    batch_stage: s.batch_stage.snapshot(),
-                    wal_append: s.wal_append.snapshot(),
-                    snapshot_write: s.snapshot_write.snapshot(),
-                })
-                .collect(),
+impl ShardMetrics {
+    fn snapshot(&self) -> ShardSnapshot {
+        ShardSnapshot {
+            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+            queue_peak: self.queue_peak.load(Ordering::Relaxed),
+            processed: self.processed.load(Ordering::Relaxed),
+            batch_stage: self.batch_stage.snapshot(),
+            wal_append: self.wal_append.snapshot(),
+            snapshot_write: self.snapshot_write.snapshot(),
         }
     }
 }
 
 /// Point-in-time copy of one shard's gauges.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Batches currently queued for the shard.
     pub queue_depth: usize,
@@ -415,78 +460,6 @@ pub struct ShardSnapshot {
     pub wal_append: StageSnapshot,
     /// Snapshot-write stage (all zeros for non-durable runs).
     pub snapshot_write: StageSnapshot,
-}
-
-/// Point-in-time copy of the ingest counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Reports offered to the pipeline.
-    pub offered: u64,
-    /// Reports accepted (including baselines and reset-spanning gaps).
-    pub ingested: u64,
-    /// Accepted reports that only (re-)established a device baseline.
-    pub baselines: u64,
-    /// Accepted reports whose delta was voided by a reset-spanning gap.
-    pub reset_spanning_gaps: u64,
-    /// Adjacent-minute counter resets decoded (reboot / wrap / rejoin).
-    pub counter_resets: u64,
-    /// Reports dropped as late.
-    pub dropped_late: u64,
-    /// Reports dropped as duplicates.
-    pub dropped_duplicate: u64,
-    /// Reports dropped as uncorroborated future jumps.
-    pub dropped_future_jump: u64,
-    /// Reports rejected because the shard queue was already closed (a
-    /// producer racing shutdown — the typed outcome that replaced a silent
-    /// enqueue-past-close bug; no worker will ever pop them).
-    pub dropped_queue_closed: u64,
-    /// Complete calendar windows sealed across all gateways.
-    pub windows_sealed: u64,
-    /// Sealed windows that matched a motif template.
-    pub windows_matched: u64,
-    /// Sealed windows matching no template (novel behavior).
-    pub windows_novel: u64,
-    /// Sealed windows with too few observations to judge.
-    pub windows_insufficient: u64,
-    /// Trailing partial windows flushed at end of stream.
-    pub partial_windows: u64,
-    /// Reports appended to the write-ahead log (durable runs only).
-    pub wal_records: u64,
-    /// Torn trailing WAL records discarded during recovery.
-    pub wal_torn_records: u64,
-    /// Reports skipped on a resumed feed because the WAL already held them
-    /// (they were replayed from disk instead of re-offered).
-    pub wal_replayed: u64,
-    /// WAL I/O operations retried after a transient failure.
-    pub wal_io_retries: u64,
-    /// WAL I/O operations abandoned after the retry budget (each entered
-    /// or confirmed the degraded mode of its shard).
-    pub wal_io_gave_up: u64,
-    /// Reports consumed while a shard ran degraded — computed but never
-    /// logged, a typed live durability gap.
-    pub wal_gap_records: u64,
-    /// Reports a recovery proved missing from the log (a hole between
-    /// segment headers, or records only a now-dead snapshot covered).
-    pub wal_lost_records: u64,
-    /// WAL segments opened (rotation included).
-    pub wal_segments_created: u64,
-    /// Snapshot-covered segments deleted by compaction (plus recovery's
-    /// removal of fully-covered segments).
-    pub wal_segments_compacted: u64,
-    /// Durable snapshots written.
-    pub snapshots_written: u64,
-    /// Snapshots discarded at recovery (checksum failure).
-    pub snapshots_discarded: u64,
-    /// Orphaned snapshot temp files swept at recovery.
-    pub snapshot_tmp_swept: u64,
-    /// Stale/corrupt single-writer locks fenced via takeover.
-    pub lock_takeovers: u64,
-    /// Recoveries performed (snapshot load + WAL tail replay).
-    pub recoveries: u64,
-    /// Replay stage counters (one span per shard recovered).
-    pub replay: StageSnapshot,
-    /// Per-shard queue/throughput gauges.
-    pub per_shard: Vec<ShardSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -523,48 +496,14 @@ impl MetricsSnapshot {
         self.wal_gap_records + self.wal_lost_records
     }
 
-    /// The deterministic projection of the snapshot: every field that is a
-    /// pure function of the report stream, with the timing-dependent parts
-    /// (latency histograms, queue gauges) and the durability bookkeeping
-    /// that legitimately differs across a crash (snapshot/recovery counts)
-    /// zeroed out. A recovered run and an uninterrupted run over the same
-    /// stream must agree *exactly* on this projection — the headline
-    /// invariant of [`durable`].
-    pub fn replay_invariant_core(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            wal_torn_records: 0,
-            wal_replayed: 0,
-            wal_io_retries: 0,
-            wal_io_gave_up: 0,
-            wal_gap_records: 0,
-            wal_lost_records: 0,
-            wal_segments_created: 0,
-            wal_segments_compacted: 0,
-            snapshots_written: 0,
-            snapshots_discarded: 0,
-            snapshot_tmp_swept: 0,
-            lock_takeovers: 0,
-            recoveries: 0,
-            replay: StageSnapshot::default(),
-            per_shard: self
-                .per_shard
-                .iter()
-                .map(|s| ShardSnapshot {
-                    queue_depth: 0,
-                    queue_peak: 0,
-                    processed: s.processed,
-                    batch_stage: StageSnapshot::default(),
-                    wal_append: StageSnapshot::default(),
-                    snapshot_write: StageSnapshot::default(),
-                })
-                .collect(),
-            ..self.clone()
-        }
-    }
-
     /// The snapshot as a JSON object — what `fleet_ingest --metrics-json`
     /// emits and `scripts/ci.sh` validates against the conservation laws.
     pub fn to_json(&self) -> String {
+        let counters: String = self
+            .counters()
+            .iter()
+            .map(|(name, v)| format!("\"{name}\":{v},"))
+            .collect();
         let shards: Vec<String> = self
             .per_shard
             .iter()
@@ -586,45 +525,8 @@ impl MetricsSnapshot {
             })
             .collect();
         format!(
-            "{{\"offered\":{},\"ingested\":{},\"baselines\":{},\"reset_spanning_gaps\":{},\
-             \"counter_resets\":{},\"dropped_late\":{},\"dropped_duplicate\":{},\
-             \"dropped_future_jump\":{},\"dropped_queue_closed\":{},\"windows_sealed\":{},\
-             \"windows_matched\":{},\"windows_novel\":{},\"windows_insufficient\":{},\
-             \"partial_windows\":{},\"wal_records\":{},\"wal_torn_records\":{},\
-             \"wal_replayed\":{},\"wal_io_retries\":{},\"wal_io_gave_up\":{},\
-             \"wal_gap_records\":{},\"wal_lost_records\":{},\"wal_segments_created\":{},\
-             \"wal_segments_compacted\":{},\"snapshots_written\":{},\"snapshots_discarded\":{},\
-             \"snapshot_tmp_swept\":{},\"lock_takeovers\":{},\"recoveries\":{},\"replay\":{},\
-             \"fully_accounted\":{},\"durably_accounted\":{},\"durability_gap\":{},\
-             \"per_shard\":[{}]}}",
-            self.offered,
-            self.ingested,
-            self.baselines,
-            self.reset_spanning_gaps,
-            self.counter_resets,
-            self.dropped_late,
-            self.dropped_duplicate,
-            self.dropped_future_jump,
-            self.dropped_queue_closed,
-            self.windows_sealed,
-            self.windows_matched,
-            self.windows_novel,
-            self.windows_insufficient,
-            self.partial_windows,
-            self.wal_records,
-            self.wal_torn_records,
-            self.wal_replayed,
-            self.wal_io_retries,
-            self.wal_io_gave_up,
-            self.wal_gap_records,
-            self.wal_lost_records,
-            self.wal_segments_created,
-            self.wal_segments_compacted,
-            self.snapshots_written,
-            self.snapshots_discarded,
-            self.snapshot_tmp_swept,
-            self.lock_takeovers,
-            self.recoveries,
+            "{{{counters}\"replay\":{},\"fully_accounted\":{},\"durably_accounted\":{},\
+             \"durability_gap\":{},\"per_shard\":[{}]}}",
             self.replay.to_json(),
             self.fully_accounted(),
             self.durably_accounted(),
@@ -1368,10 +1270,10 @@ impl IngestPipeline {
                 if this_seq <= cutoffs[shard] {
                     // Already durable in this shard's WAL: it was replayed
                     // from disk during recovery, not re-offered.
-                    self.metrics.wal_replayed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.wal_replayed.incr();
                     continue;
                 }
-                self.metrics.offered.fetch_add(1, Ordering::Relaxed);
+                self.metrics.offered.incr();
                 batches[shard].push((this_seq, report));
                 if batches[shard].len() >= self.config.batch_reports {
                     let batch = std::mem::replace(
@@ -1468,9 +1370,7 @@ impl IngestPipeline {
                 // The reports were offered, so account for every one of
                 // them — the conservation law must close even on shutdown
                 // races.
-                self.metrics
-                    .dropped_queue_closed
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                self.metrics.dropped_queue_closed.add(batch.len() as u64);
             }
         }
     }
@@ -1874,7 +1774,7 @@ mod tests {
         let pipeline = IngestPipeline::new(test_config(1), Vec::new());
         let queue: BoundedQueue<Vec<(u64, IngestReport)>> = BoundedQueue::new(1);
         queue.close();
-        pipeline.metrics.offered.fetch_add(2, Ordering::Relaxed);
+        pipeline.metrics.offered.add(2);
         pipeline.offer_batch(
             0,
             &queue,

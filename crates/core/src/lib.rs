@@ -68,7 +68,7 @@ pub mod stationarity;
 pub mod streaming;
 pub mod sweep;
 
-pub use aggregation::{best_score, daily_window_correlation, GranularityScore};
+pub use aggregation::{best_score, GranularityScore};
 pub use anomaly::{AnomalyConfig, AnomalyDetector, Verdict};
 pub use background::{estimate_tau, remove_background, BackgroundProfile, TauGroup, TAU_CAP};
 pub use clustering::{cluster_correlated, correlation_components, Dendrogram};

@@ -434,7 +434,7 @@ impl MotifIndex {
 ///   pruned pair's exact similarity is provably `< φ_prune − margin`, and
 ///   its dense `f32` value is `< φ_prune` — below **every** threshold any
 ///   verdict uses, even after `f64` re-verification. Reporting it as
-///   [`PRUNED_SIM`] therefore yields the same `false` verdict the dense
+///   `PRUNED_SIM` therefore yields the same `false` verdict the dense
 ///   path reaches. If any threshold is ≤ 0 the prune threshold is ≤ 0 and
 ///   the engine evaluates every pair — trivially dense.
 /// * Surviving pairs carry the engine's bit-identical `f32` similarity, the

@@ -14,10 +14,12 @@
 //!   `fetch_add`, no locks anywhere on the hot path.
 //! * [`Stage`] — entered/exited/in-flight counters plus a latency
 //!   histogram; [`Stage::enter`] returns a [`Span`] guard that times the
-//!   stage and closes the books on drop. The per-stage conservation law
-//!   `entered == exited + in_flight` holds at every instant (checked by
-//!   [`StageSnapshot::conserved`]) and tightens to `entered == exited` at
-//!   quiescence ([`StageSnapshot::quiescent`]).
+//!   stage and closes the books on drop. Every snapshot satisfies
+//!   `exited + in_flight <= entered` (checked by
+//!   [`StageSnapshot::conserved`]; an item between two of its counter
+//!   updates is briefly counted in `entered` only), which tightens to
+//!   `entered == exited` with nothing in flight at quiescence
+//!   ([`StageSnapshot::quiescent`]).
 //! * [`PipelineObs`] — the registry wired through the batch analysis
 //!   pipeline: the pruned matrix build (row fill, prune tiers), motif
 //!   discovery (candidate pairs evaluated / pruned / grown / merged, the
@@ -215,13 +217,14 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// Opens a span: increments `entered`/`in_flight` and starts the timer.
-    /// Dropping the returned [`Span`] records the latency and moves the
-    /// item from `in_flight` to `exited`.
+    /// Opens a span: increments `entered`, then `in_flight`, and starts the
+    /// timer. Dropping the returned [`Span`] records the latency and moves
+    /// the item from `in_flight` to `exited`.
     #[inline]
     pub fn enter(&self) -> Span<'_> {
         self.entered.incr();
-        self.in_flight.incr();
+        // Release: whoever observes this increment also observes `entered`'s.
+        self.in_flight.0.fetch_add(1, Ordering::Release);
         Span {
             stage: self,
             started: Instant::now(),
@@ -230,12 +233,16 @@ impl Stage {
 
     /// Point-in-time copy of the stage counters.
     pub fn snapshot(&self) -> StageSnapshot {
-        // Load in an order that keeps the conservation check sound under
-        // concurrent spans: `exited` first, `entered` last, so a span
-        // closing mid-snapshot can only make `exited + in_flight` over-count
-        // relative to `entered` — never under-count below it at quiescence.
-        let exited = self.exited.get();
-        let in_flight = self.in_flight.0.load(Ordering::Relaxed);
+        // Each item steps `entered` up, `in_flight` up, `in_flight` down,
+        // `exited` up, the last three with release. The loads run in the
+        // reverse order, the first two with acquire: once a load sees an
+        // item's step, the later loads see all its earlier steps. So an item
+        // counted in `exited` is no longer in `in_flight`, and every item
+        // counted on the right is counted in `entered`:
+        // `exited + in_flight <= entered` holds for every snapshot, on
+        // weakly ordered CPUs too ([`StageSnapshot::conserved`]).
+        let exited = self.exited.0.load(Ordering::Acquire);
+        let in_flight = self.in_flight.0.load(Ordering::Acquire);
         let entered = self.entered.get();
         StageSnapshot {
             entered,
@@ -257,8 +264,8 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         let ns = self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.stage.latency_ns.record(ns);
-        self.stage.in_flight.0.fetch_sub(1, Ordering::Relaxed);
-        self.stage.exited.incr();
+        self.stage.in_flight.0.fetch_sub(1, Ordering::Release);
+        self.stage.exited.0.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -276,12 +283,13 @@ pub struct StageSnapshot {
 }
 
 impl StageSnapshot {
-    /// The per-stage conservation law: every entered item is either done or
-    /// in flight. (A snapshot taken while spans are closing may transiently
-    /// over-count the right-hand side; at quiescence equality is exact.)
+    /// The per-stage conservation law as a snapshot can see it: no item is
+    /// done or in flight without having entered, and none is both. A
+    /// snapshot taken while spans open or close may see an item in
+    /// `entered` only (between two of its counter updates); at quiescence
+    /// equality is exact ([`StageSnapshot::quiescent`]).
     pub fn conserved(&self) -> bool {
-        self.entered <= self.exited + self.in_flight
-            && self.exited + self.in_flight <= self.entered + self.in_flight
+        self.exited + self.in_flight <= self.entered
     }
 
     /// Quiescent conservation: nothing in flight and books balanced.
@@ -313,162 +321,137 @@ pub fn sim_millis(sim: f64) -> u64 {
 /// the population whose verdicts rounding error could plausibly flip.
 pub const NEAR_THRESHOLD_BAND: f64 = 1e-3;
 
-/// The observability registry wired through the batch analysis pipeline.
-///
-/// One instance is shared by every thread of a run (all fields are atomic;
-/// the struct is `Sync`). Every instrumented entry point takes
-/// `Option<&PipelineObs>` — pass `None` and the pipeline runs exactly as
-/// before, bit for bit.
-#[derive(Debug, Default)]
-pub struct PipelineObs {
-    /// Per-window profile construction in a sweep cell
-    /// ([`crate::sweep`]) and per-series profiling in lag search.
-    pub profile_build: Stage,
-    /// Pruned-matrix row fill
-    /// ([`crate::engine::cor_matrix_pruned_observed`]); one span per row,
-    /// across all worker threads.
-    pub row_fill: Stage,
-    /// One whole motif-discovery run
-    /// ([`crate::motif::discover_motifs_indexed`]).
-    pub motif_discovery: Stage,
-    /// One granularity-pyramid construction (prefix sums plus levels) for a
-    /// series entering the Definition-3 sweep.
-    pub pyramid_build: Stage,
-    /// One `(granularity, offset)` re-binning inside the sweep, whichever
-    /// path served it.
-    pub rebin: Stage,
-    /// One window-set scoring pass (profiles plus the fused pair loop) for
-    /// one sweep cell.
-    pub window_score: Stage,
-    /// Per-series pruning-sketch construction in lag search
-    /// ([`crate::lagsearch`]).
-    pub sketch_build: Stage,
-    /// One `(series, scale)` lag-search preparation: the correlation kernel
-    /// side, pruning sketch and energy/missingness prefixes built on top of
-    /// the re-binned series ([`crate::lagsearch`]).
-    pub lag_prepare: Stage,
-    /// One `(pair, scale)` lag-search scan: the prune cascade plus the
-    /// exact cells across the whole lag range.
-    pub lag_pair_scan: Stage,
-    /// Pairs whose similarity was compared against a motif threshold.
-    pub pairs_evaluated: Counter,
-    /// Pairs accepted as motif candidates (`cor ≥ φ`).
-    pub candidate_pairs: Counter,
-    /// Pairs pruned below φ in the candidate scan.
-    pub pairs_pruned: Counter,
-    /// Windows added to an existing motif during greedy growth.
-    pub members_grown: Counter,
-    /// Motif pairs unified in the merge phase.
-    pub motifs_merged: Counter,
-    /// Comparisons landing within [`NEAR_THRESHOLD_BAND`] of φ.
-    pub near_phi: Counter,
-    /// Comparisons landing within [`NEAR_THRESHOLD_BAND`] of ¾φ.
-    pub near_group: Counter,
-    /// Near-threshold comparisons re-verified in f64 (the
-    /// f32 similarity-matrix quantization guard).
-    pub f64_reverified: Counter,
-    /// Two-sample KS tests run by stationarity sweeps.
-    pub ks_tests: Counter,
-    /// Re-binnings served from prefix sums (pyramid base or a level).
-    pub rebins_pyramid: Counter,
-    /// Re-binnings that fell back to direct summation (non-integer series).
-    pub rebins_direct: Counter,
-    /// Pyramid re-binnings that folded from a coarse level rather than the
-    /// per-sample base (a subset of `rebins_pyramid`).
-    pub level_folds: Counter,
-    /// Pairs a pruned matrix build considered (its conservation total:
-    /// the three prune tiers plus exact evaluations sum to this).
-    pub prune_pairs_total: Counter,
-    /// Pairs dismissed by the degenerate tier (constant side or too few
-    /// shared observations).
-    pub pairs_pruned_degenerate: Counter,
-    /// Pairs dismissed by the symbolized (SAX MINDIST) bound tier.
-    pub pairs_pruned_sax: Counter,
-    /// Pairs dismissed by the segment-mean (moment signature) bound tier.
-    pub pairs_pruned_moment: Counter,
-    /// Pairs that fell through pruning and were evaluated exactly.
-    pub prune_pairs_evaluated: Counter,
-    /// Exactly-evaluated pairs that were ineligible for pruning because
-    /// their finite masks differ (a subset of `prune_pairs_evaluated`).
-    pub prune_mask_fallthrough: Counter,
-    /// Lag-search `(pair, scale, lag)` cells considered — the conservation
-    /// total: the three prune tiers plus exact evaluations sum to this.
-    pub lag_cells_total: Counter,
-    /// Lag cells dismissed wholesale because a side is degenerate at that
-    /// scale (no observations or zero variance).
-    pub lag_cells_pruned_degenerate: Counter,
-    /// Lag-0 cells dismissed by the [`wtts_stats::prune_pair`] coefficient
-    /// upper bounds on a shared finite mask.
-    pub lag_cells_pruned_sketch: Counter,
-    /// Lag cells dismissed by the segmented Cauchy–Schwarz energy bound.
-    pub lag_cells_pruned_energy: Counter,
-    /// Lag cells that fell through pruning and were evaluated exactly.
-    pub lag_cells_evaluated: Counter,
-    /// Pairwise similarities observed by stationarity sweeps, in
-    /// thousandths (see [`sim_millis`]).
-    pub stationarity_sim_millis: LogHistogram,
+/// Declares the [`PipelineObs`] stages and counters once, in report order,
+/// and generates the registry struct and its [`PipelineObs::snapshot`].
+macro_rules! pipeline_obs {
+    (
+        stages { $($(#[$sdoc:meta])* $stage:ident,)* }
+        counters { $($(#[$cdoc:meta])* $counter:ident,)* }
+    ) => {
+        /// The observability registry wired through the batch analysis
+        /// pipeline.
+        ///
+        /// One instance is shared by every thread of a run (all fields are
+        /// atomic; the struct is `Sync`). Every instrumented entry point takes
+        /// `Option<&PipelineObs>` — pass `None` and the pipeline runs exactly
+        /// as before, bit for bit.
+        #[derive(Debug, Default)]
+        pub struct PipelineObs {
+            $($(#[$sdoc])* pub $stage: Stage,)*
+            $($(#[$cdoc])* pub $counter: Counter,)*
+            /// Pairwise similarities observed by stationarity sweeps, in
+            /// thousandths (see [`sim_millis`]).
+            pub stationarity_sim_millis: LogHistogram,
+        }
+
+        impl PipelineObs {
+            /// Point-in-time copy of every stage and counter (relaxed loads;
+            /// cheap enough to poll while the pipeline runs).
+            pub fn snapshot(&self) -> ObsSnapshot {
+                ObsSnapshot {
+                    stages: vec![$((stringify!($stage), self.$stage.snapshot()),)*],
+                    counters: vec![$((stringify!($counter), self.$counter.get()),)*],
+                    stationarity_sim_millis: self.stationarity_sim_millis.snapshot(),
+                }
+            }
+        }
+    };
+}
+
+pipeline_obs! {
+    stages {
+        /// Per-window profile construction in a sweep cell
+        /// ([`crate::sweep`]) and per-series profiling in lag search.
+        profile_build,
+        /// Pruned-matrix row fill
+        /// ([`crate::engine::cor_matrix_pruned_observed`]); one span per row,
+        /// across all worker threads.
+        row_fill,
+        /// One whole motif-discovery run
+        /// ([`crate::motif::discover_motifs_indexed`]).
+        motif_discovery,
+        /// One granularity-pyramid construction (prefix sums plus levels) for a
+        /// series entering the Definition-3 sweep.
+        pyramid_build,
+        /// One `(granularity, offset)` re-binning inside the sweep, whichever
+        /// path served it.
+        rebin,
+        /// One window-set scoring pass (profiles plus the fused pair loop) for
+        /// one sweep cell.
+        window_score,
+        /// Per-series pruning-sketch construction in lag search
+        /// ([`crate::lagsearch`]).
+        sketch_build,
+        /// One `(series, scale)` lag-search preparation: the correlation kernel
+        /// side, pruning sketch and energy/missingness prefixes built on top of
+        /// the re-binned series ([`crate::lagsearch`]).
+        lag_prepare,
+        /// One `(pair, scale)` lag-search scan: the prune cascade plus the
+        /// exact cells across the whole lag range.
+        lag_pair_scan,
+    }
+    counters {
+        /// Pairs whose similarity was compared against a motif threshold.
+        pairs_evaluated,
+        /// Pairs accepted as motif candidates (`cor ≥ φ`).
+        candidate_pairs,
+        /// Pairs pruned below φ in the candidate scan.
+        pairs_pruned,
+        /// Windows added to an existing motif during greedy growth.
+        members_grown,
+        /// Motif pairs unified in the merge phase.
+        motifs_merged,
+        /// Comparisons landing within [`NEAR_THRESHOLD_BAND`] of φ.
+        near_phi,
+        /// Comparisons landing within [`NEAR_THRESHOLD_BAND`] of ¾φ.
+        near_group,
+        /// Near-threshold comparisons re-verified in f64 (the
+        /// f32 similarity-matrix quantization guard).
+        f64_reverified,
+        /// Two-sample KS tests run by stationarity sweeps.
+        ks_tests,
+        /// Re-binnings served from prefix sums (pyramid base or a level).
+        rebins_pyramid,
+        /// Re-binnings that fell back to direct summation (non-integer series).
+        rebins_direct,
+        /// Pyramid re-binnings that folded from a coarse level rather than the
+        /// per-sample base (a subset of `rebins_pyramid`).
+        level_folds,
+        /// Pairs a pruned matrix build considered (its conservation total:
+        /// the three prune tiers plus exact evaluations sum to this).
+        prune_pairs_total,
+        /// Pairs dismissed by the degenerate tier (constant side or too few
+        /// shared observations).
+        pairs_pruned_degenerate,
+        /// Pairs dismissed by the symbolized (SAX MINDIST) bound tier.
+        pairs_pruned_sax,
+        /// Pairs dismissed by the segment-mean (moment signature) bound tier.
+        pairs_pruned_moment,
+        /// Pairs that fell through pruning and were evaluated exactly.
+        prune_pairs_evaluated,
+        /// Exactly-evaluated pairs that were ineligible for pruning because
+        /// their finite masks differ (a subset of `prune_pairs_evaluated`).
+        prune_mask_fallthrough,
+        /// Lag-search `(pair, scale, lag)` cells considered — the conservation
+        /// total: the three prune tiers plus exact evaluations sum to this.
+        lag_cells_total,
+        /// Lag cells dismissed wholesale because a side is degenerate at that
+        /// scale (no observations or zero variance).
+        lag_cells_pruned_degenerate,
+        /// Lag-0 cells dismissed by the [`wtts_stats::prune_pair`] coefficient
+        /// upper bounds on a shared finite mask.
+        lag_cells_pruned_sketch,
+        /// Lag cells dismissed by the segmented Cauchy–Schwarz energy bound.
+        lag_cells_pruned_energy,
+        /// Lag cells that fell through pruning and were evaluated exactly.
+        lag_cells_evaluated,
+    }
 }
 
 impl PipelineObs {
     /// An empty registry.
     pub fn new() -> PipelineObs {
         PipelineObs::default()
-    }
-
-    /// Point-in-time copy of every stage and counter (relaxed loads; cheap
-    /// enough to poll while the pipeline runs).
-    pub fn snapshot(&self) -> ObsSnapshot {
-        ObsSnapshot {
-            stages: vec![
-                ("profile_build", self.profile_build.snapshot()),
-                ("row_fill", self.row_fill.snapshot()),
-                ("motif_discovery", self.motif_discovery.snapshot()),
-                ("pyramid_build", self.pyramid_build.snapshot()),
-                ("rebin", self.rebin.snapshot()),
-                ("window_score", self.window_score.snapshot()),
-                ("sketch_build", self.sketch_build.snapshot()),
-                ("lag_prepare", self.lag_prepare.snapshot()),
-                ("lag_pair_scan", self.lag_pair_scan.snapshot()),
-            ],
-            counters: vec![
-                ("pairs_evaluated", self.pairs_evaluated.get()),
-                ("candidate_pairs", self.candidate_pairs.get()),
-                ("pairs_pruned", self.pairs_pruned.get()),
-                ("members_grown", self.members_grown.get()),
-                ("motifs_merged", self.motifs_merged.get()),
-                ("near_phi", self.near_phi.get()),
-                ("near_group", self.near_group.get()),
-                ("f64_reverified", self.f64_reverified.get()),
-                ("ks_tests", self.ks_tests.get()),
-                ("rebins_pyramid", self.rebins_pyramid.get()),
-                ("rebins_direct", self.rebins_direct.get()),
-                ("level_folds", self.level_folds.get()),
-                ("prune_pairs_total", self.prune_pairs_total.get()),
-                (
-                    "pairs_pruned_degenerate",
-                    self.pairs_pruned_degenerate.get(),
-                ),
-                ("pairs_pruned_sax", self.pairs_pruned_sax.get()),
-                ("pairs_pruned_moment", self.pairs_pruned_moment.get()),
-                ("prune_pairs_evaluated", self.prune_pairs_evaluated.get()),
-                ("prune_mask_fallthrough", self.prune_mask_fallthrough.get()),
-                ("lag_cells_total", self.lag_cells_total.get()),
-                (
-                    "lag_cells_pruned_degenerate",
-                    self.lag_cells_pruned_degenerate.get(),
-                ),
-                (
-                    "lag_cells_pruned_sketch",
-                    self.lag_cells_pruned_sketch.get(),
-                ),
-                (
-                    "lag_cells_pruned_energy",
-                    self.lag_cells_pruned_energy.get(),
-                ),
-                ("lag_cells_evaluated", self.lag_cells_evaluated.get()),
-            ],
-            stationarity_sim_millis: self.stationarity_sim_millis.snapshot(),
-        }
     }
 }
 
@@ -484,7 +467,8 @@ pub struct ObsSnapshot {
 }
 
 impl ObsSnapshot {
-    /// Whether every stage satisfies `entered == exited + in_flight`.
+    /// Whether every stage satisfies `exited + in_flight <= entered`
+    /// ([`StageSnapshot::conserved`]).
     pub fn conserved(&self) -> bool {
         self.stages.iter().all(|(_, s)| s.conserved())
     }
@@ -731,6 +715,29 @@ mod tests {
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
+    }
+
+    /// `conserved` accepts the states a snapshot can legally observe
+    /// mid-span and rejects an over-count no interleaving can produce.
+    #[test]
+    fn conserved_accepts_mid_span_states_and_rejects_over_counts() {
+        // Between the two increments of `enter` (or, the same counts,
+        // between the decrement and the increment of `Span::drop`).
+        let mid = Stage::default();
+        mid.entered.incr();
+        let s = mid.snapshot();
+        assert_eq!((s.entered, s.exited, s.in_flight), (1, 0, 0));
+        assert!(s.conserved());
+        assert!(!s.quiescent());
+        // One item counted both done and in flight: impossible.
+        let over = Stage::default();
+        over.entered.incr();
+        over.exited.incr();
+        over.in_flight.incr();
+        let s = over.snapshot();
+        assert_eq!((s.entered, s.exited, s.in_flight), (1, 1, 1));
+        assert!(!s.conserved());
+        assert!(!s.quiescent());
     }
 
     #[test]

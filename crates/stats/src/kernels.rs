@@ -197,7 +197,7 @@ pub fn sxy_fold2(
     (sv, sr)
 }
 
-/// Plain left-to-right product fold Σ x[t]·y[t] — the CCF numerator over a
+/// Plain left-to-right product fold `Σ x[t]·y[t]` — the CCF numerator over a
 /// pre-shifted overlap, in the exact order `ccf` has always summed it.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
@@ -211,7 +211,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Batched complete-series CCF numerators: for each `lags[l]` computes
-/// Σ_t a[t+k]·b[t] (k ≥ 0) or Σ_t a[t]·b[t−k] (k < 0) over the full overlap,
+/// `Σ_t a[t+k]·b[t]` (k ≥ 0) or `Σ_t a[t]·b[t−k]` (k < 0) over the full overlap,
 /// exactly as a per-lag [`dot`] would — per-lag `t`-ascending order is
 /// preserved, so every cell is bit-identical to the one-at-a-time fold.
 ///
@@ -614,7 +614,7 @@ fn small_domain(xs: &[f64]) -> Option<(f64, usize)> {
 /// when the bet loses.
 const OPT_R: usize = 512;
 
-/// Counting-sort rank kernel for [`small_domain`] series: the stable sort
+/// Counting-sort rank kernel for `small_domain` series: the stable sort
 /// permutation, mid-ranks and tie-group sizes of `xs` in O(n + range),
 /// bit-identical to the comparison-sort path. Returns `false` (outputs
 /// untouched) when the series is not small-domain.
@@ -632,7 +632,7 @@ const OPT_R: usize = 512;
 ///   same run boundaries.
 ///
 /// The first pass is an *optimistic fusion* of domain probe and histogram:
-/// it counts into [`OPT_R`] clamped buckets (`v as i64`, clamped to the
+/// it counts into `OPT_R` clamped buckets (`v as i64`, clamped to the
 /// table — the same conversion the integrality check needs anyway) while
 /// folding four min/max/integral lanes. One validation afterwards decides
 /// everything: non-integral input rejects the lane outright; integral input
@@ -819,7 +819,7 @@ const MERGE_BASE: usize = 32;
 /// τ-b. The count is an exact integer, so τ is bit-identical no matter how
 /// the counting is organized — which frees the algorithm to be fast:
 ///
-/// * width-[`MERGE_BASE`] base runs are built by counting insertion sort
+/// * width-`MERGE_BASE` base runs are built by counting insertion sort
 ///   (each element's shift distance is exactly its inversion count within
 ///   the run), replacing the five all-branchy narrow merge levels;
 /// * merge levels ping-pong between `v` and `tmp` instead of copying back

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints (warnings denied), build, the full test
+# CI gate: formatting, lints and rustdoc (warnings denied), build, the full test
 # suite, bench smokes (bit-identity + observability conservation), the
 # unified perf-budget gate (scripts/perf_gate.py) over every committed
 # bench baseline, and the benchmark selftest (experiment CSVs against the
@@ -12,6 +12,9 @@ cargo fmt --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo build --release =="
 cargo build --release
