@@ -16,7 +16,18 @@ where
     R: Send,
     F: Fn(SimGateway) -> R + Sync,
 {
-    let n = fleet.len();
+    let ids: Vec<usize> = (0..fleet.len()).collect();
+    fleet_map_ids(fleet, &ids, f)
+}
+
+/// [`fleet_map`] over the gateways `ids` only: one result per entry of
+/// `ids`, in the same order.
+pub fn fleet_map_ids<R, F>(fleet: &Fleet, ids: &[usize], f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(SimGateway) -> R + Sync,
+{
+    let n = ids.len();
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
@@ -27,13 +38,13 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let id = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if id >= n {
+                let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if k >= n {
                     break;
                 }
-                let result = f(fleet.gateway(id));
+                let result = f(fleet.gateway(ids[k]));
                 let mut guard = slots_ptr.lock().expect("no poisoned slot lock");
-                guard[id] = Some(result);
+                guard[k] = Some(result);
             });
         }
     });
@@ -84,7 +95,9 @@ pub fn observed_every_day(series: &TimeSeries, weeks: u32) -> bool {
 /// (capped at 5 kB/min); values below are zeroed, then all devices sum into
 /// the gateway series.
 pub fn active_total(gateway: &SimGateway) -> TimeSeries {
-    let cleaned: Vec<TimeSeries> = gateway
+    // The left fold of `TimeSeries::sum_all`, over one cleaned device at a
+    // time.
+    gateway
         .devices
         .iter()
         .map(|d| {
@@ -94,14 +107,8 @@ pub fn active_total(gateway: &SimGateway) -> TimeSeries {
             let out = remove_background(&d.outgoing, tau_out);
             inc.add(&out)
         })
-        .collect();
-    TimeSeries::sum_all(cleaned.iter()).expect("gateway has devices")
-}
-
-/// Raw (background included) overall traffic of the gateway, truncated to
-/// `weeks` weeks.
-pub fn raw_total(gateway: &SimGateway, weeks: u32) -> TimeSeries {
-    first_weeks(&gateway.aggregate_total(), weeks)
+        .reduce(|total, device| total.add(&device))
+        .expect("gateway has devices")
 }
 
 #[cfg(test)]

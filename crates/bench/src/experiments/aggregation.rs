@@ -9,50 +9,30 @@
 //! stationarity verdicts together — the runner no longer re-runs identical
 //! per-candidate computations per figure.
 
-use crate::data::{active_total, first_weeks, fleet_map, observed_every_day, observed_every_week};
+use crate::data::{first_weeks, observed_every_day, observed_every_week};
+use crate::experiments::{run_alone, Finish, Plan};
 use crate::report::{fmt, Table};
+use crate::walk::GatewayView;
 use std::path::Path;
-use wtts_core::sweep::{daily_sweep, weekly_sweep, DailySweep, SweepConfig};
+use wtts_core::sweep::{daily_sweep, weekly_sweep, DailyCell, DailySweep, SweepConfig, WeeklyCell};
 use wtts_gwsim::Fleet;
 use wtts_stats::mean;
-use wtts_timeseries::{Granularity, TimeSeries};
+use wtts_timeseries::Granularity;
 
-/// The gateways eligible for weekly analyses, with their active series.
-fn weekly_eligible(fleet: &Fleet, weeks: u32) -> Vec<TimeSeries> {
-    fleet_map(fleet, |gw| {
-        let active = first_weeks(&active_total(&gw), weeks);
-        observed_every_week(&active, weeks).then_some(active)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
+/// Weeks of active traffic the aggregation analyses read.
+const WEEKS: u32 = 4;
 
-/// The gateways eligible for daily analyses, with their active series.
-fn daily_eligible(fleet: &Fleet, weeks: u32) -> Vec<TimeSeries> {
-    fleet_map(fleet, |gw| {
-        let active = first_weeks(&active_total(&gw), weeks);
-        observed_every_day(&active, weeks).then_some(active)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
+/// A sweep cell depends on its own series only, so each eligible gateway's
+/// row is swept on the walk's worker thread, on that thread alone.
+const ONE_THREAD: SweepConfig = SweepConfig { threads: Some(1) };
 
-/// Figure 6: average week-to-week correlation per aggregation granularity,
-/// for day starts at midnight and 2am, over all eligible gateways and over
-/// the strongly stationary ones.
-pub fn fig6(fleet: &Fleet, out: Option<&Path>) {
-    let weeks = 4;
-    let series = weekly_eligible(fleet, weeks);
-    println!(
-        "{} gateways eligible for weekly aggregation analysis",
-        series.len()
-    );
+/// Figure 6's day starts.
+const OFFSETS: [u32; 3] = [0, 120, 180];
 
-    let offsets = [0u32, 120, 180];
+/// Figure 6's `(granularity, offset)` grid.
+fn weekly_candidates() -> Vec<(Granularity, u32)> {
     let mut candidates = Vec::new();
-    for &offset in &offsets {
+    for &offset in &OFFSETS {
         for &g in Granularity::weekly_candidates() {
             if g.as_minutes() < 60 && offset != 0 {
                 continue; // 1-minute binning only evaluated from midnight.
@@ -60,11 +40,53 @@ pub fn fig6(fleet: &Fleet, out: Option<&Path>) {
             candidates.push((g, offset));
         }
     }
-    // One sweep over the whole offset x granularity grid: every figure row
-    // below is a read-out of its cells.
-    let sweep = weekly_sweep(&series, weeks, &candidates, &SweepConfig::default(), None);
+    candidates
+}
 
-    for &offset in &offsets {
+/// A weekly-eligible gateway's Figure 6 sweep row over its four-week
+/// active series.
+fn weekly_row(view: &GatewayView) -> Option<Vec<WeeklyCell>> {
+    let active = first_weeks(view.active_total(), WEEKS);
+    observed_every_week(&active, WEEKS).then(|| {
+        let sweep = weekly_sweep(&[active], WEEKS, &weekly_candidates(), &ONE_THREAD, None);
+        sweep.cells.into_iter().next().expect("one row")
+    })
+}
+
+/// A daily-eligible gateway's sweep row over the paper's daily candidates.
+pub fn daily_row(view: &GatewayView) -> Option<Vec<DailyCell>> {
+    let active = first_weeks(view.active_total(), WEEKS);
+    observed_every_day(&active, WEEKS).then(|| {
+        let candidates = Granularity::daily_candidates();
+        let sweep = daily_sweep(&[active], WEEKS, candidates, 0, &ONE_THREAD, None);
+        sweep.cells.into_iter().next().expect("one row")
+    })
+}
+
+/// Figure 6: average week-to-week correlation per aggregation granularity,
+/// for day starts at midnight and 2am, over all eligible gateways and over
+/// the strongly stationary ones.
+pub fn fig6(fleet: &Fleet, out: Option<&Path>) {
+    run_alone(fleet, fig6_folds, out);
+}
+
+/// [`fig6`]'s folds: one sweep of the whole offset x granularity grid per
+/// eligible gateway; every figure row is a read-out of its cells.
+pub fn fig6_folds(plan: &mut Plan<'_>) -> Finish {
+    let rows = plan.each(weekly_row);
+    Box::new(move |r, out| {
+        let rows: Vec<Vec<WeeklyCell>> = r.take(rows).into_iter().flatten().collect();
+        fig6_tables(&weekly_candidates(), &rows, out);
+    })
+}
+
+fn fig6_tables(candidates: &[(Granularity, u32)], rows: &[Vec<WeeklyCell>], out: Option<&Path>) {
+    println!(
+        "{} gateways eligible for weekly aggregation analysis",
+        rows.len()
+    );
+
+    for &offset in &OFFSETS {
         let mut t = Table::new(
             &format!(
                 "Fig 6 - weekly aggregation curves (day start {:02}:00)",
@@ -77,13 +99,13 @@ pub fn fig6(fleet: &Fleet, out: Option<&Path>) {
                 "#stationary",
             ],
         );
-        for (k, &(g, o)) in sweep.candidates.iter().enumerate() {
+        for (k, &(g, o)) in candidates.iter().enumerate() {
             if o != offset {
                 continue;
             }
             let mut all = Vec::new();
             let mut stat = Vec::new();
-            for row in &sweep.cells {
+            for row in rows {
                 let cell = &row[k];
                 let Some(score) = cell.score else {
                     continue;
@@ -116,20 +138,36 @@ pub struct DailyAnalysis {
 /// Runs the daily eligibility filter and the shared candidate sweep once;
 /// the experiments runner hands the result to both [`fig7`] and [`fig8`].
 pub fn daily_analysis(fleet: &Fleet) -> DailyAnalysis {
-    let weeks = 4;
-    let series = daily_eligible(fleet, weeks);
-    let sweep = daily_sweep(
-        &series,
-        weeks,
-        Granularity::daily_candidates(),
-        0,
-        &SweepConfig::default(),
-        None,
-    );
-    DailyAnalysis {
-        n_eligible: series.len(),
-        sweep,
+    let mut plan = Plan::new(fleet);
+    plan.daily_analysis();
+    plan.walk().into_daily_analysis()
+}
+
+impl DailyAnalysis {
+    /// The daily sweep assembled from the daily-eligible gateways' rows
+    /// ([`daily_row`]), in gateway-id order.
+    pub fn of(rows: Vec<Vec<DailyCell>>) -> DailyAnalysis {
+        DailyAnalysis {
+            n_eligible: rows.len(),
+            sweep: DailySweep {
+                offset_minutes: 0,
+                candidates: Granularity::daily_candidates().to_vec(),
+                cells: rows,
+            },
+        }
     }
+}
+
+/// [`fig7`]'s folds: the shared daily analysis.
+pub fn fig7_folds(plan: &mut Plan<'_>) -> Finish {
+    plan.daily_analysis();
+    Box::new(|r, out| fig7(r.daily_analysis(), out))
+}
+
+/// [`fig8`]'s folds: the shared daily analysis.
+pub fn fig8_folds(plan: &mut Plan<'_>) -> Finish {
+    plan.daily_analysis();
+    Box::new(|r, out| fig8(r.daily_analysis(), out))
 }
 
 /// Looks up a granularity's column in the shared daily sweep.
@@ -225,14 +263,48 @@ mod tests {
     use super::*;
     use wtts_gwsim::FleetConfig;
 
+    /// A row swept alone equals its row of a batch sweep.
     #[test]
-    fn weekly_eligibility_filter_applies() {
-        let fleet = Fleet::new(FleetConfig::small());
-        let eligible = weekly_eligible(&fleet, 2);
-        assert!(eligible.len() <= fleet.len());
-        for s in &eligible {
-            assert!(observed_every_week(s, 2));
-        }
+    fn per_gateway_rows_match_a_batch_sweep() {
+        let fleet = Fleet::new(FleetConfig {
+            n_gateways: 3,
+            weeks: 4,
+            ..FleetConfig::small()
+        });
+        let active: Vec<_> = (0..fleet.len())
+            .map(|id| first_weeks(&crate::data::active_total(&fleet.gateway(id)), WEEKS))
+            .collect();
+        let rows = crate::walk::walk_ids(&fleet, 0..fleet.len(), |v| (weekly_row(v), daily_row(v)));
+        let weekly: Vec<_> = active
+            .iter()
+            .filter(|s| observed_every_week(s, WEEKS))
+            .cloned()
+            .collect();
+        assert!(!weekly.is_empty(), "no eligible gateway");
+        let batch = weekly_sweep(
+            &weekly,
+            WEEKS,
+            &weekly_candidates(),
+            &SweepConfig::default(),
+            None,
+        );
+        let walked: Vec<_> = rows.iter().filter_map(|r| r.0.clone()).collect();
+        assert_eq!(format!("{:?}", batch.cells), format!("{walked:?}"));
+        let daily: Vec<_> = active
+            .iter()
+            .filter(|s| observed_every_day(s, WEEKS))
+            .cloned()
+            .collect();
+        let batch = daily_sweep(
+            &daily,
+            WEEKS,
+            Granularity::daily_candidates(),
+            0,
+            &SweepConfig::default(),
+            None,
+        );
+        let walked: Vec<_> = rows.into_iter().filter_map(|r| r.1).collect();
+        assert_eq!(format!("{:?}", batch.cells), format!("{walked:?}"));
     }
 
     #[test]

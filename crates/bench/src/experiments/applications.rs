@@ -6,13 +6,14 @@
 //! * `app-maintenance` — the intro's headline use case: per-gateway
 //!   firmware-update windows chosen from the weekly activity profile.
 
-use crate::data::{active_total, first_weeks};
-use crate::experiments::standard::most_observed_gateways;
+use crate::data::first_weeks;
+use crate::experiments::{run_alone, Finish, Plan};
 use crate::report::{fmt, pct, Table};
+use crate::walk::GatewayView;
 use std::collections::HashMap;
 use std::path::Path;
-use wtts_core::anomaly::{AnomalyConfig, AnomalyDetector};
-use wtts_core::maintenance::WeeklyProfile;
+use wtts_core::anomaly::{AnomalyConfig, AnomalyDetector, Verdict};
+use wtts_core::maintenance::{MaintenanceWindow, WeeklyProfile};
 use wtts_gwsim::Fleet;
 use wtts_stats::{dominant_period, forecast_rmse, ljung_box};
 use wtts_timeseries::{aggregate, daily_windows, Granularity};
@@ -22,29 +23,38 @@ use wtts_timeseries::{aggregate, daily_windows, Granularity};
 /// the rare active-traffic events ISP planning actually cares about — and
 /// they add almost nothing over the trivial persistence predictor.
 pub fn sec4_arima(fleet: &Fleet, out: Option<&Path>) {
-    let ids = most_observed_gateways(fleet, 10);
-    let granularities = [
-        Granularity::minutes(1),
-        Granularity::minutes(30),
-        Granularity::hours(3),
-    ];
-    // Per granularity, filled gateway by gateway in id-rank order so each
-    // gateway renders once and every mean sums in the same order.
-    let mut acc: Vec<ArAccumulator> = granularities.iter().map(|_| Default::default()).collect();
-    for &id in &ids {
-        let gw = fleet.gateway(id);
-        let total = first_weeks(&gw.aggregate_total(), 2);
-        for (g, acc) in granularities.iter().zip(&mut acc) {
+    run_alone(fleet, sec4_arima_folds, out);
+}
+
+const AR_GRANULARITIES: [Granularity; 3] = [
+    Granularity::minutes(1),
+    Granularity::minutes(30),
+    Granularity::hours(3),
+];
+
+/// One gateway's AR forecast at one granularity.
+struct ArPoint {
+    skill_vs_mean: f64,
+    skill_vs_persistence: Option<f64>,
+    onsets: usize,
+    captured: usize,
+}
+
+fn ar_points(view: &GatewayView) -> Vec<Option<ArPoint>> {
+    let total = first_weeks(view.aggregate_total(), 2);
+    AR_GRANULARITIES
+        .iter()
+        .map(|g| {
             let agg = aggregate(&total, *g, 0);
             let values = agg.values();
-            let Some(cmp) = forecast_rmse(values, 4, 0.7) else {
-                continue;
+            let cmp = forecast_rmse(values, 4, 0.7)?;
+            let mut point = ArPoint {
+                skill_vs_mean: cmp.skill_vs_mean(),
+                skill_vs_persistence: (cmp.persistence_rmse > 0.0)
+                    .then(|| 1.0 - cmp.model_rmse / cmp.persistence_rmse),
+                onsets: 0,
+                captured: 0,
             };
-            acc.vs_mean.push(cmp.skill_vs_mean());
-            if cmp.persistence_rmse > 0.0 {
-                acc.vs_persist
-                    .push(1.0 - cmp.model_rmse / cmp.persistence_rmse);
-            }
             // Burst onsets in the test region: a jump from quiet to loud.
             let split = (values.len() as f64 * 0.7) as usize;
             let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
@@ -55,13 +65,38 @@ pub fn sec4_arima(fleet: &Fleet, out: Option<&Path>) {
                     continue;
                 }
                 if cur > 10.0 * med && prev < 2.0 * med {
-                    acc.onsets += 1;
+                    point.onsets += 1;
                     let pred = cmp.model.forecast_one(&values[..t_idx]);
                     if pred >= 0.5 * cur {
-                        acc.captured += 1;
+                        point.captured += 1;
                     }
                 }
             }
+            Some(point)
+        })
+        .collect()
+}
+
+/// [`sec4_arima`]'s folds: the ten most observed gateways.
+pub fn sec4_arima_folds(plan: &mut Plan<'_>) -> Finish {
+    let points = plan.top(10, |view, _| ar_points(view));
+    Box::new(move |r, out| sec4_arima_tables(r.take_top(points), out))
+}
+
+fn sec4_arima_tables(points: Vec<Vec<Option<ArPoint>>>, out: Option<&Path>) {
+    let granularities = AR_GRANULARITIES;
+    // Per granularity, filled gateway by gateway in rank order, so every
+    // mean sums in the same order.
+    let mut acc: Vec<ArAccumulator> = granularities.iter().map(|_| Default::default()).collect();
+    for gateway in points {
+        for (point, acc) in gateway.into_iter().zip(&mut acc) {
+            let Some(point) = point else {
+                continue;
+            };
+            acc.vs_mean.push(point.skill_vs_mean);
+            acc.vs_persist.extend(point.skill_vs_persistence);
+            acc.onsets += point.onsets;
+            acc.captured += point.captured;
         }
     }
     let mut t = Table::new(
@@ -105,7 +140,16 @@ struct ArAccumulator {
 /// diurnal rhythm — low-level autocorrelation exists (Ljung–Box rejects
 /// whiteness) but never a clean seasonal signal.
 pub fn sec4_seasonal(fleet: &Fleet, out: Option<&Path>) {
-    let ids = most_observed_gateways(fleet, 10);
+    run_alone(fleet, sec4_seasonal_folds, out);
+}
+
+/// [`sec4_seasonal`]'s folds: one table row per top-10 gateway.
+pub fn sec4_seasonal_folds(plan: &mut Plan<'_>) -> Finish {
+    let rows = plan.top(10, |view, _| seasonal_row(view));
+    Box::new(move |r, out| sec4_seasonal_tables(r.take_top(rows), out))
+}
+
+fn sec4_seasonal_tables(rows: Vec<Vec<String>>, out: Option<&Path>) {
     let mut t = Table::new(
         "Sec 4.2 - seasonality check (periodogram + Ljung-Box)",
         &[
@@ -117,27 +161,8 @@ pub fn sec4_seasonal(fleet: &Fleet, out: Option<&Path>) {
             "LB rejects whiteness",
         ],
     );
-    for &id in &ids {
-        let gw = fleet.gateway(id);
-        let total = first_weeks(&gw.aggregate_total(), 2);
-        let minute = total.observed_values();
-        let hourly = aggregate(&total, Granularity::hours(1), 0).observed_values();
-        let m = dominant_period(&minute);
-        let h = dominant_period(&hourly);
-        let lb = ljung_box(&minute, 60);
-        t.row(&[
-            id.to_string(),
-            fmt(
-                m.map(|(l, _)| l.period_samples() / 60.0)
-                    .unwrap_or(f64::NAN),
-                1,
-            ),
-            fmt(m.map(|(_, s)| s).unwrap_or(f64::NAN), 3),
-            fmt(h.map(|(l, _)| l.period_samples()).unwrap_or(f64::NAN), 1),
-            fmt(h.map(|(_, s)| s).unwrap_or(f64::NAN), 3),
-            lb.map(|l| l.rejects_whiteness(0.05).to_string())
-                .unwrap_or("-".into()),
-        ]);
+    for row in rows {
+        t.row(&row);
     }
     t.emit(out);
     println!(
@@ -146,41 +171,86 @@ pub fn sec4_seasonal(fleet: &Fleet, out: Option<&Path>) {
     );
 }
 
+fn seasonal_row(view: &GatewayView) -> Vec<String> {
+    let total = first_weeks(view.aggregate_total(), 2);
+    let minute = total.observed_values();
+    let hourly = aggregate(&total, Granularity::hours(1), 0).observed_values();
+    let m = dominant_period(&minute);
+    let h = dominant_period(&hourly);
+    let lb = ljung_box(&minute, 60);
+    vec![
+        view.id.to_string(),
+        fmt(
+            m.map(|(l, _)| l.period_samples() / 60.0)
+                .unwrap_or(f64::NAN),
+            1,
+        ),
+        fmt(m.map(|(_, s)| s).unwrap_or(f64::NAN), 3),
+        fmt(h.map(|(l, _)| l.period_samples()).unwrap_or(f64::NAN), 1),
+        fmt(h.map(|(_, s)| s).unwrap_or(f64::NAN), 3),
+        lb.map(|l| l.rejects_whiteness(0.05).to_string())
+            .unwrap_or("-".into()),
+    ]
+}
+
 /// The intro's use case: recommend per-gateway maintenance windows and
 /// check how many homes would be disturbed by the naive fleet-wide
 /// night-time broadcast instead.
 pub fn app_maintenance(fleet: &Fleet, out: Option<&Path>) {
+    run_alone(fleet, app_maintenance_folds, out);
+}
+
+/// A gateway's recommended window and whether the naive 03:00 broadcast
+/// would hit it.
+struct Recommendation {
+    id: usize,
+    archetype: String,
+    window: MaintenanceWindow,
+    night_busy: bool,
+}
+
+fn recommend(view: &GatewayView) -> Option<Recommendation> {
     let duration = 120; // 2-hour update window.
+    let active = first_weeks(view.active_total(), 4);
+    let profile = WeeklyProfile::from_active_series(&active, 60)?;
+    let window = profile.recommend(duration)?;
+    // Would the naive "everyone at 3am" policy hit this home? Count
+    // homes with *meaningful* overnight activity — more than 1 MB
+    // expected inside some 03:00-05:00 slot (stray syncs don't count,
+    // an active user does).
+    let night_busy = (0..7).any(|d| {
+        let day = wtts_timeseries::Weekday::from_index(d);
+        profile.cell(day, 3) > 1e6 || profile.cell(day, 4) > 1e6
+    });
+    Some(Recommendation {
+        id: view.id,
+        archetype: view.archetype.to_string(),
+        window,
+        night_busy,
+    })
+}
+
+/// [`app_maintenance`]'s folds.
+pub fn app_maintenance_folds(plan: &mut Plan<'_>) -> Finish {
+    let recommendations = plan.each(recommend);
+    Box::new(move |r, out| app_maintenance_tables(r.take(recommendations), out))
+}
+
+fn app_maintenance_tables(recommendations: Vec<Option<Recommendation>>, out: Option<&Path>) {
     let mut per_hour: HashMap<u32, usize> = HashMap::new();
     let mut night_disturbed = 0usize; // Naive 03:00-05:00 broadcast hits activity.
     let mut analyzed = 0usize;
     let mut examples = Vec::new();
-    for gw in fleet.iter() {
-        let active = first_weeks(&active_total(&gw), 4);
-        let Some(profile) = WeeklyProfile::from_active_series(&active, 60) else {
-            continue;
-        };
-        let Some(window) = profile.recommend(duration) else {
-            continue;
-        };
+    for rec in recommendations.into_iter().flatten() {
         analyzed += 1;
-        *per_hour.entry(window.start_minute / 60).or_insert(0) += 1;
-        // Would the naive "everyone at 3am" policy hit this home? Count
-        // homes with *meaningful* overnight activity — more than 1 MB
-        // expected inside some 03:00-05:00 slot (stray syncs don't count,
-        // an active user does).
-        let night_busy = (0..7).any(|d| {
-            let day = wtts_timeseries::Weekday::from_index(d);
-            profile.cell(day, 3) > 1e6 || profile.cell(day, 4) > 1e6
-        });
-        if night_busy {
+        *per_hour.entry(rec.window.start_minute / 60).or_insert(0) += 1;
+        if rec.night_busy {
             night_disturbed += 1;
         }
         if examples.len() < 5 {
-            examples.push((gw.id, gw.archetype.to_string(), window));
+            examples.push((rec.id, rec.archetype, rec.window));
         }
     }
-
     let mut t = Table::new(
         "App - recommended maintenance window start hours (2h windows)",
         &["start hour", "gateways"],
@@ -226,64 +296,80 @@ Per-home windows avoid all of them.\n",
 /// dead day (radio/upstream outage) and a night-long flood (runaway
 /// device). Reports detection and false-positive rates.
 pub fn app_troubleshoot(fleet: &Fleet, out: Option<&Path>) {
+    run_alone(fleet, app_troubleshoot_folds, out);
+}
+
+/// Scores one gateway's fourth week after learning its first three: per
+/// test day, whether a fault was injected and the detector's verdict.
+fn troubleshoot(view: &GatewayView) -> Vec<(bool, Verdict)> {
     let train_weeks = 3;
     let g = Granularity::hours(3);
+    let active = first_weeks(view.active_total(), train_weeks + 1);
+    let binned = aggregate(&active, g, 0);
+    let windows = daily_windows(&binned, train_weeks + 1, 0);
+    let (train, test): (Vec<_>, Vec<_>) = windows.into_iter().partition(|w| w.week < train_weeks);
+    let detector = AnomalyDetector::new(
+        train
+            .into_iter()
+            .filter_map(|w| w.weekday.map(|d| (d, w.series.into_values()))),
+        AnomalyConfig::default(),
+    );
+    let mut days = Vec::new();
+    for (i, w) in test.into_iter().enumerate() {
+        let Some(day) = w.weekday else { continue };
+        let mut values = w.series.into_values();
+        let fault: Option<&str> = match i {
+            1 => {
+                // Dead day: the home reports, but nothing moves.
+                values.iter_mut().for_each(|v| {
+                    if v.is_finite() {
+                        *v = 0.0;
+                    }
+                });
+                Some("dead")
+            }
+            4 => {
+                // Runaway device floods the uplink all night.
+                for (b, v) in values.iter_mut().enumerate() {
+                    if b < 3 {
+                        *v = 5e9;
+                    }
+                }
+                Some("flood")
+            }
+            _ => None,
+        };
+        days.push((fault.is_some(), detector.score(day, &values)));
+    }
+    days
+}
+
+/// [`app_troubleshoot`]'s folds: the first 60 gateways.
+pub fn app_troubleshoot_folds(plan: &mut Plan<'_>) -> Finish {
+    let scored = plan.each_of(0..60, troubleshoot);
+    Box::new(move |r, out| app_troubleshoot_tables(r.take(scored), out))
+}
+
+fn app_troubleshoot_tables(scored: Vec<Vec<(bool, Verdict)>>, out: Option<&Path>) {
     let mut injected = 0usize;
     let mut detected = 0usize;
     let mut clean_days = 0usize;
     let mut false_alarms = 0usize;
     let mut insufficient = 0usize;
-    for gw in fleet.iter().take(60) {
-        let active = first_weeks(&active_total(&gw), train_weeks + 1);
-        let binned = aggregate(&active, g, 0);
-        let windows = daily_windows(&binned, train_weeks + 1, 0);
-        let (train, test): (Vec<_>, Vec<_>) =
-            windows.into_iter().partition(|w| w.week < train_weeks);
-        let detector = AnomalyDetector::new(
-            train
-                .into_iter()
-                .filter_map(|w| w.weekday.map(|d| (d, w.series.into_values()))),
-            AnomalyConfig::default(),
-        );
-        for (i, w) in test.into_iter().enumerate() {
-            let Some(day) = w.weekday else { continue };
-            let mut values = w.series.into_values();
-            let fault: Option<&str> = match i {
-                1 => {
-                    // Dead day: the home reports, but nothing moves.
-                    values.iter_mut().for_each(|v| {
-                        if v.is_finite() {
-                            *v = 0.0;
-                        }
-                    });
-                    Some("dead")
-                }
-                4 => {
-                    // Runaway device floods the uplink all night.
-                    for (b, v) in values.iter_mut().enumerate() {
-                        if b < 3 {
-                            *v = 5e9;
-                        }
-                    }
-                    Some("flood")
-                }
-                _ => None,
-            };
-            let verdict = detector.score(day, &values);
-            match (fault, verdict.is_anomalous()) {
-                (Some(_), true) => {
-                    injected += 1;
-                    detected += 1;
-                }
-                (Some(_), false) => injected += 1,
-                (None, anomalous) => {
-                    if verdict == wtts_core::anomaly::Verdict::Insufficient {
-                        insufficient += 1;
-                    } else {
-                        clean_days += 1;
-                        if anomalous {
-                            false_alarms += 1;
-                        }
+    for (fault, verdict) in scored.into_iter().flatten() {
+        match (fault, verdict.is_anomalous()) {
+            (true, true) => {
+                injected += 1;
+                detected += 1;
+            }
+            (true, false) => injected += 1,
+            (false, anomalous) => {
+                if verdict == Verdict::Insufficient {
+                    insufficient += 1;
+                } else {
+                    clean_days += 1;
+                    if anomalous {
+                        false_alarms += 1;
                     }
                 }
             }

@@ -1,12 +1,15 @@
 //! Figure 4 and §6.1: per-device background thresholds, and the §6.1/§7
 //! stationarity gain from removing background traffic.
 
-use crate::data::{active_total, first_weeks, observed_every_week, raw_total};
+use crate::data::{first_weeks, observed_every_week};
+use crate::experiments::{run_alone, Finish, Plan};
 use crate::report::{pct, Table};
+use crate::walk::GatewayView;
 use std::collections::HashMap;
 use std::path::Path;
 use wtts_core::aggregation::weekly_stationarity;
 use wtts_core::background::{estimate_tau, TauGroup};
+use wtts_core::StationarityCheck;
 use wtts_devid::DeviceType;
 use wtts_gwsim::Fleet;
 use wtts_stats::histogram;
@@ -15,29 +18,41 @@ use wtts_timeseries::Granularity;
 /// Figure 4: the distribution of the background threshold τ across devices,
 /// per direction, plus the τ-group versus device-type association.
 pub fn fig4(fleet: &Fleet, out: Option<&Path>) {
+    run_alone(fleet, fig4_folds, out);
+}
+
+/// [`fig4`]'s folds: per gateway, the inferred type and four-week τ of
+/// each device with a meaningful observation history (the paper studied
+/// 934 devices over four weeks).
+pub fn fig4_folds(plan: &mut Plan<'_>) -> Finish {
+    let per_gateway = plan.each(|view| {
+        view.devices
+            .iter()
+            .filter_map(|d| {
+                let inc = first_weeks(&d.incoming, 4);
+                if inc.observed_count() < 500 {
+                    return None;
+                }
+                let outg = first_weeks(&d.outgoing, 4);
+                Some((d.inferred_type(), estimate_tau(&inc)?, estimate_tau(&outg)?))
+            })
+            .collect::<Vec<_>>()
+    });
+    Box::new(move |r, out| fig4_tables(r.take(per_gateway), out))
+}
+
+fn fig4_tables(per_gateway: Vec<Vec<(DeviceType, f64, f64)>>, out: Option<&Path>) {
     let mut taus_in = Vec::new();
     let mut taus_out = Vec::new();
     // (inferred type, group) counts.
     let mut group_by_type: HashMap<(DeviceType, TauGroup), usize> = HashMap::new();
     let mut devices = 0usize;
-    for gw in fleet.iter() {
-        for d in &gw.devices {
-            let inc = first_weeks(&d.incoming, 4);
-            let outg = first_weeks(&d.outgoing, 4);
-            // Only devices with a meaningful observation history (the paper
-            // studied 934 devices over four weeks).
-            if inc.observed_count() < 500 {
-                continue;
-            }
-            let (Some(ti), Some(to)) = (estimate_tau(&inc), estimate_tau(&outg)) else {
-                continue;
-            };
-            devices += 1;
-            taus_in.push(ti);
-            taus_out.push(to);
-            let group = TauGroup::of(ti.max(to));
-            *group_by_type.entry((d.inferred_type(), group)).or_insert(0) += 1;
-        }
+    for (ty, ti, to) in per_gateway.into_iter().flatten() {
+        devices += 1;
+        taus_in.push(ti);
+        taus_out.push(to);
+        let group = TauGroup::of(ti.max(to));
+        *group_by_type.entry((ty, group)).or_insert(0) += 1;
     }
 
     for (name, taus) in [("incoming", &taus_in), ("outgoing", &taus_out)] {
@@ -92,23 +107,41 @@ pub fn fig4(fleet: &Fleet, out: Option<&Path>) {
 /// windows, 3-hour binning) before and after background removal — the paper
 /// reports 7% → 11%.
 pub fn sec6_background_gain(fleet: &Fleet, out: Option<&Path>) {
-    let weeks = 4;
+    run_alone(fleet, sec6_background_gain_folds, out);
+}
+
+const SEC6_WEEKS: u32 = 4;
+
+/// Per eligible gateway: the 3-hour weekly stationarity check of its raw
+/// and of its active traffic.
+fn sec6_extract(view: &GatewayView) -> Option<[Option<StationarityCheck>; 2]> {
+    let weeks = SEC6_WEEKS;
+    let raw = first_weeks(view.aggregate_total(), weeks);
+    if !observed_every_week(&raw, weeks) {
+        return None;
+    }
+    let g = Granularity::hours(3);
+    let active = first_weeks(view.active_total(), weeks);
+    Some([raw, active].map(|series| weekly_stationarity(&series, weeks, g, 0)))
+}
+
+/// [`sec6_background_gain`]'s folds.
+pub fn sec6_background_gain_folds(plan: &mut Plan<'_>) -> Finish {
+    let checks = plan.each(sec6_extract);
+    Box::new(move |r, out| sec6_tables(r.take(checks), out))
+}
+
+fn sec6_tables(checks: Vec<Option<[Option<StationarityCheck>; 2]>>, out: Option<&Path>) {
+    let weeks = SEC6_WEEKS;
     let g = Granularity::hours(3);
     let mut eligible = 0usize;
     // (cor passes, KS passes, both) per variant.
     let mut raw_counts = (0usize, 0usize, 0usize);
     let mut active_counts = (0usize, 0usize, 0usize);
-    for gw in fleet.iter() {
-        let raw = raw_total(&gw, weeks);
-        if !observed_every_week(&raw, weeks) {
-            continue;
-        }
+    for variants in checks.into_iter().flatten() {
         eligible += 1;
-        for (series, counts) in [
-            (raw, &mut raw_counts),
-            (first_weeks(&active_total(&gw), weeks), &mut active_counts),
-        ] {
-            if let Some(c) = weekly_stationarity(&series, weeks, g, 0) {
+        for (check, counts) in variants.iter().zip([&mut raw_counts, &mut active_counts]) {
+            if let Some(c) = check {
                 if c.correlations_pass {
                     counts.0 += 1;
                 }

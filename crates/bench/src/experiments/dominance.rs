@@ -1,32 +1,75 @@
 //! Figure 5 and §6.2: dominant devices per gateway, their types, the
 //! Euclidean/volume baselines and the residents correlation.
 
-use crate::data::{first_weeks, observed_every_week};
+use crate::data::first_weeks;
+use crate::experiments::{run_alone, Finish, Plan};
 use crate::report::{fmt, pct, Table};
+use crate::walk::GatewayView;
 use std::collections::HashMap;
 use std::path::Path;
-use wtts_core::dominance::{
-    device_similarities, dominants_above, euclidean_ranking, ranking_agreement, volume_ranking,
-};
+use wtts_core::dominance::{dominants_above, ranking_agreement};
 use wtts_devid::DeviceType;
 use wtts_gwsim::{Fleet, SimGateway};
 use wtts_stats::{pearson, CorrelationTest};
 use wtts_timeseries::TimeSeries;
 
-/// Per-gateway dominance analysis input: the total and each device's total.
-pub fn gateway_series(gw: &SimGateway, weeks: u32) -> (TimeSeries, Vec<TimeSeries>) {
-    let devices: Vec<TimeSeries> = gw
-        .devices
+/// Per-gateway dominance analysis input: each device's total over the
+/// first `weeks` weeks, in device order, built one at a time on demand.
+pub fn device_series(gw: &SimGateway, weeks: u32) -> impl Iterator<Item = TimeSeries> + '_ {
+    gw.devices
         .iter()
-        .map(|d| first_weeks(&d.total(), weeks))
-        .collect();
-    let total = TimeSeries::sum_all(devices.iter()).expect("gateway has devices");
-    (total, devices)
+        .map(move |d| first_weeks(&d.total(), weeks))
+}
+
+/// The gateway total over the first `weeks` weeks: the sum of its
+/// [`device_series`], added in device order.
+pub fn gateway_total(gw: &SimGateway, weeks: u32) -> TimeSeries {
+    device_series(gw, weeks)
+        .reduce(|total, device| total.add(&device))
+        .expect("gateway has devices")
 }
 
 /// Full §6.2 analysis over the fleet.
 pub fn fig5(fleet: &Fleet, out: Option<&Path>) {
-    fig5_census(fleet).emit(out);
+    run_alone(fleet, fig5_folds, out);
+}
+
+/// [`fig5`]'s folds: one pass over the fleet; each gateway observed in
+/// every one of the first four weeks contributes its φ = 0.6 and φ = 0.8
+/// dominants and its baseline agreements.
+pub fn fig5_folds(plan: &mut Plan<'_>) -> Finish {
+    let gateways = plan.each(fig5_extract);
+    Box::new(move |r, out| Fig5Census::of(r.take(gateways)).emit(out))
+}
+
+/// One eligible gateway's Figure 5 results.
+struct Fig5Gateway {
+    residents: usize,
+    /// Inferred type of each φ = 0.6 dominant, with its rank.
+    dominants: Vec<(usize, DeviceType)>,
+    euclidean_agree: usize,
+    volume_agree: usize,
+    /// Inferred type of each φ = 0.8 dominant.
+    strict: Vec<DeviceType>,
+}
+
+/// Thresholds the gateway's four-week Definition 1 results at φ = 0.6 and
+/// φ = 0.8; `None` unless the gateway is observed in every one of the first
+/// four weeks.
+fn fig5_extract(view: &GatewayView) -> Option<Fig5Gateway> {
+    let dom4 = view.dominance()?;
+    let dom = dominants_above(&dom4.similarities, 0.6);
+    let type_of = |device: usize| view.devices[device].inferred_type();
+    Some(Fig5Gateway {
+        residents: view.residents,
+        dominants: dom.iter().map(|d| (d.rank, type_of(d.device))).collect(),
+        euclidean_agree: ranking_agreement(&dom, &dom4.euclidean),
+        volume_agree: ranking_agreement(&dom, &dom4.volume),
+        strict: dominants_above(&dom4.similarities, 0.8)
+            .iter()
+            .map(|d| type_of(d.device))
+            .collect(),
+    })
 }
 
 /// Fleet-wide tallies behind Figure 5 and the §6.2 tables, over the
@@ -50,68 +93,40 @@ struct Fig5Census {
     residents_cross: HashMap<(usize, usize), usize>,
 }
 
-/// One pass over the fleet: each eligible gateway's Definition 1 results
-/// are thresholded at φ = 0.6 and φ = 0.8.
-fn fig5_census(fleet: &Fleet) -> Fig5Census {
-    let weeks = 4;
-    let mut c = Fig5Census::default();
-    for gw in fleet.iter() {
-        let (total, devices) = gateway_series(&gw, weeks);
-        if !observed_every_week(&total, weeks) {
-            continue;
+impl Fig5Census {
+    /// Folds the eligible gateways' results in id order.
+    fn of(gateways: Vec<Option<Fig5Gateway>>) -> Fig5Census {
+        let mut c = Fig5Census::default();
+        for gw in gateways.into_iter().flatten() {
+            let n = gw.dominants.len();
+            c.eligible += 1;
+            *c.count_dist.entry(n.min(3)).or_insert(0) += 1;
+            c.total_dominants += n;
+            for &(rank, ty) in &gw.dominants {
+                *c.type_by_rank.entry((rank.min(2), ty)).or_insert(0) += 1;
+                *c.type_totals.entry(ty).or_insert(0) += 1;
+            }
+            c.euclidean_agree += gw.euclidean_agree;
+            c.volume_agree += gw.volume_agree;
+            if !gw.strict.is_empty() {
+                c.have_dominant_strict += 1;
+            }
+            c.strict_total += gw.strict.len();
+            c.strict_fixed += gw
+                .strict
+                .iter()
+                .filter(|&&ty| ty == DeviceType::Fixed)
+                .count();
+            if c.survey.len() < 49 {
+                c.survey.push((gw.residents, n));
+            }
+            *c.residents_cross
+                .entry((gw.residents, n.min(3)))
+                .or_insert(0) += 1;
         }
-        c.eligible += 1;
-        let sims = device_similarities(&total, &devices);
-        let dom = dominants_above(&sims, 0.6);
-        *c.count_dist.entry(dom.len().min(3)).or_insert(0) += 1;
-        c.total_dominants += dom.len();
-        for d in &dom {
-            let ty = gw.devices[d.device].inferred_type();
-            *c.type_by_rank.entry((d.rank.min(2), ty)).or_insert(0) += 1;
-            *c.type_totals.entry(ty).or_insert(0) += 1;
-        }
-        // For the Euclidean baseline a disconnected device contributes zero
-        // traffic; leaving its samples missing would shrink its distance by
-        // skipping terms and absurdly favor rarely-seen devices.
-        let zero_filled: Vec<TimeSeries> = devices
-            .iter()
-            .map(|d| {
-                let mut z = d.clone();
-                for v in z.values_mut() {
-                    if !v.is_finite() {
-                        *v = 0.0;
-                    }
-                }
-                z
-            })
-            .collect();
-        let euc = euclidean_ranking(&total, &zero_filled);
-        let vol = volume_ranking(&devices);
-        c.euclidean_agree += ranking_agreement(&dom, &euc);
-        c.volume_agree += ranking_agreement(&dom, &vol);
-
-        let strict = dominants_above(&sims, 0.8);
-        if !strict.is_empty() {
-            c.have_dominant_strict += 1;
-        }
-        c.strict_total += strict.len();
-        c.strict_fixed += strict
-            .iter()
-            .filter(|d| gw.devices[d.device].inferred_type() == DeviceType::Fixed)
-            .count();
-
-        if c.survey.len() < 49 {
-            c.survey.push((gw.residents, dom.len()));
-        }
-        *c.residents_cross
-            .entry((gw.residents, dom.len().min(3)))
-            .or_insert(0) += 1;
+        c
     }
 
-    c
-}
-
-impl Fig5Census {
     fn emit(&self, out: Option<&Path>) {
         let mut t = Table::new(
             "Fig 5 / Sec 6.2 - dominant devices per gateway (phi=0.6)",
@@ -234,41 +249,49 @@ impl Fig5Census {
 /// Ablation: how the dominant-device census changes when Definition 1 is
 /// replaced by each coefficient alone.
 pub fn ablation_similarity(fleet: &Fleet, out: Option<&Path>) {
-    let (eligible, census) = ablation_census(fleet);
-    let mut t = Table::new(
-        "Ablation - similarity measure vs dominant-device census",
-        &["measure", "gateways with dominant", "total dominants"],
-    );
-    for (name, (with, total)) in ABLATION_MEASURES.iter().zip(census) {
-        t.row(&[(*name).to_string(), with.to_string(), total.to_string()]);
-    }
-    t.emit(out);
-    println!("{eligible} eligible gateways\n");
+    run_alone(fleet, ablation_similarity_folds, out);
 }
 
-/// Row labels of the ablation census, in [`ablation_census`] order.
+/// [`ablation_similarity`]'s folds.
+pub fn ablation_similarity_folds(plan: &mut Plan<'_>) -> Finish {
+    let counts = plan.each(ablation_extract);
+    Box::new(move |r, out| {
+        let (eligible, census) = ablation_census(r.take(counts));
+        let mut t = Table::new(
+            "Ablation - similarity measure vs dominant-device census",
+            &["measure", "gateways with dominant", "total dominants"],
+        );
+        for (name, (with, total)) in ABLATION_MEASURES.iter().zip(census) {
+            t.row(&[(*name).to_string(), with.to_string(), total.to_string()]);
+        }
+        t.emit(out);
+        println!("{eligible} eligible gateways\n");
+    })
+}
+
+/// Row labels of the ablation census, in [`ablation_extract`] order.
 const ABLATION_MEASURES: [&str; 4] = ["max of three (Def. 1)", "pearson", "spearman", "kendall"];
 
+/// An eligible gateway's φ = 0.6 dominant count per measure. Each device's
+/// Definition 1 evaluation supplies all four measures: its value and its
+/// three tests.
+fn ablation_extract(view: &GatewayView) -> Option<[usize; 4]> {
+    let sims = &view.dominance()?.similarities;
+    Some([
+        dominants_above(sims, 0.6).len(),
+        count_dominant(sims.iter().map(|s| &s.pearson)),
+        count_dominant(sims.iter().map(|s| &s.spearman)),
+        count_dominant(sims.iter().map(|s| &s.kendall)),
+    ])
+}
+
 /// The ablation's eligible-gateway count and, per measure, (gateways with
-/// a φ = 0.6 dominant, total dominants). Each device's Definition 1
-/// evaluation supplies all four measures: its value and its three tests.
-fn ablation_census(fleet: &Fleet) -> (usize, [(usize, usize); 4]) {
-    let weeks = 4;
+/// a φ = 0.6 dominant, total dominants).
+fn ablation_census(gateways: Vec<Option<[usize; 4]>>) -> (usize, [(usize, usize); 4]) {
     let mut census = [(0usize, 0usize); 4];
     let mut eligible = 0usize;
-    for gw in fleet.iter() {
-        let (total, devices) = gateway_series(&gw, weeks);
-        if !observed_every_week(&total, weeks) {
-            continue;
-        }
+    for dominant_counts in gateways.into_iter().flatten() {
         eligible += 1;
-        let sims = device_similarities(&total, &devices);
-        let dominant_counts = [
-            dominants_above(&sims, 0.6).len(),
-            count_dominant(sims.iter().map(|s| &s.pearson)),
-            count_dominant(sims.iter().map(|s| &s.spearman)),
-            count_dominant(sims.iter().map(|s| &s.kendall)),
-        ];
         for (row, n) in census.iter_mut().zip(dominant_counts) {
             row.0 += usize::from(n > 0);
             row.1 += n;
@@ -287,13 +310,16 @@ fn count_dominant<'a>(tests: impl Iterator<Item = &'a CorrelationTest>) -> usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::observed_every_week;
+    use crate::walk::walk_ids;
     use wtts_gwsim::FleetConfig;
 
     #[test]
     fn gateway_series_aligned() {
         let fleet = Fleet::new(FleetConfig::small());
         let gw = fleet.gateway(0);
-        let (total, devices) = gateway_series(&gw, 2);
+        let total = gateway_total(&gw, 2);
+        let devices: Vec<TimeSeries> = device_series(&gw, 2).collect();
         assert_eq!(devices.len(), gw.devices.len());
         for d in &devices {
             assert_eq!(d.len(), total.len());
@@ -312,7 +338,7 @@ mod tests {
             weeks: 4,
             ..FleetConfig::small()
         });
-        let census = fig5_census(&fleet);
+        let census = Fig5Census::of(walk_ids(&fleet, 0..fleet.len(), fig5_extract));
         assert!(census.eligible >= 1, "no eligible gateway");
         assert!(census.total_dominants > 0, "empty phi = 0.6 census");
         fn sum<K>(m: &HashMap<K, usize>) -> usize {
@@ -348,7 +374,8 @@ mod tests {
         let mut eligible = 0usize;
         let mut expected = [(0usize, 0usize); 4];
         for gw in fleet.iter() {
-            let (total, devices) = gateway_series(&gw, weeks);
+            let total = gateway_total(&gw, weeks);
+            let devices: Vec<TimeSeries> = device_series(&gw, weeks).collect();
             if !observed_every_week(&total, weeks) {
                 continue;
             }
@@ -377,6 +404,7 @@ mod tests {
             expected[0].1 > 0,
             "no dominant device: the check would be vacuous"
         );
-        assert_eq!(ablation_census(&fleet), (eligible, expected));
+        let walked = walk_ids(&fleet, 0..fleet.len(), ablation_extract);
+        assert_eq!(ablation_census(walked), (eligible, expected));
     }
 }

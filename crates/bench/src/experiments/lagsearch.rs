@@ -6,7 +6,7 @@
 //! the engine that made the grid affordable.
 
 use crate::data::first_weeks;
-use crate::experiments::standard::most_observed_gateways;
+use crate::experiments::{run_alone, Finish, Plan};
 use crate::report::{fmt, pct, Table};
 use std::path::Path;
 use wtts_core::lagsearch::{lag_search, LagCell, LagSearchConfig};
@@ -23,11 +23,22 @@ const TOP_K: usize = 5;
 const PHI: f64 = 0.25;
 
 pub fn lag_search_experiment(fleet: &Fleet, out: Option<&Path>) {
-    let ids = most_observed_gateways(fleet, GATEWAYS);
-    let series: Vec<TimeSeries> = ids
-        .iter()
-        .map(|&id| first_weeks(&fleet.gateway(id).aggregate_total(), 2))
-        .collect();
+    run_alone(fleet, lag_search_folds, out);
+}
+
+/// [`lag_search_experiment`]'s folds: the two-week totals of the densest
+/// gateways, in rank order.
+pub fn lag_search_folds(plan: &mut Plan<'_>) -> Finish {
+    let series = plan.top(GATEWAYS, |view, _| {
+        (view.id, first_weeks(view.aggregate_total(), 2))
+    });
+    Box::new(move |r, out| {
+        let (ids, series): (Vec<usize>, Vec<TimeSeries>) = r.take_top(series).into_iter().unzip();
+        lag_search_tables(&ids, &series, out);
+    })
+}
+
+fn lag_search_tables(ids: &[usize], series: &[TimeSeries], out: Option<&Path>) {
     let config = LagSearchConfig {
         scales: vec![
             Granularity::minutes(30),
@@ -39,7 +50,7 @@ pub fn lag_search_experiment(fleet: &Fleet, out: Option<&Path>) {
         ..LagSearchConfig::default()
     };
     let obs = PipelineObs::new();
-    let result = lag_search(&series, &config, Some(&obs));
+    let result = lag_search(series, &config, Some(&obs));
     println!(
         "{} gateways -> {} pairs x {} scales, phi = {PHI}: {} cells, {} evaluated exactly",
         ids.len(),

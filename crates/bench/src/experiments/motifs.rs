@@ -1,11 +1,14 @@
 //! Figures 9–16: weekly and daily motif discovery and the per-motif device
 //! analysis.
 
-use crate::data::{active_total, first_weeks, fleet_map, observed_every_day, observed_every_week};
+use crate::data::{first_weeks, observed_every_day, observed_every_week};
+use crate::experiments::dominance::{device_series, gateway_total};
+use crate::experiments::{run_alone, Finish, Plan};
 use crate::report::{fmt, pct, Table};
-use std::collections::HashMap;
+use crate::walk::{GatewayView, Slot, Walk, DOMINANCE_WEEKS};
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
-use wtts_core::dominance::dominant_devices;
+use wtts_core::dominance::{dominant_devices, dominants_above};
 use wtts_core::motif::{
     discover_motifs, discover_motifs_indexed, Motif, MotifConfig, MotifIndex, WindowRef,
 };
@@ -38,110 +41,174 @@ pub struct MotifSet {
     pub granularity: Granularity,
 }
 
+/// One gateway's motif windows, with their identities.
+pub type Windows = Vec<(WindowRef, Vec<f64>)>;
+
+/// The two motif-discovery input families.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Weekly windows: 8-hour bins with the 2am day start (the Figure 6
+    /// winner), up to six weeks, gateways with at least one observation
+    /// every week.
+    Weekly = 0,
+    /// Daily windows: 3-hour bins from midnight (the Figure 8 winner), up
+    /// to four weeks, gateways with at least one observation every day.
+    Daily = 1,
+}
+
+impl Family {
+    /// Weeks of data the family reads from `fleet`.
+    pub fn weeks(self, fleet: &Fleet) -> u32 {
+        match self {
+            Family::Weekly => fleet.config().weeks.min(6),
+            Family::Daily => fleet.config().weeks.min(4),
+        }
+    }
+
+    fn granularity(self) -> Granularity {
+        match self {
+            Family::Weekly => Granularity::hours(8),
+            Family::Daily => Granularity::hours(3),
+        }
+    }
+
+    fn offset(self) -> u32 {
+        match self {
+            Family::Weekly => 120,
+            Family::Daily => 0,
+        }
+    }
+
+    /// The gateway's binned windows over `weeks` weeks of active traffic;
+    /// none unless the gateway passes the family's observation filter.
+    pub fn windows(self, view: &GatewayView, weeks: u32) -> Windows {
+        let active = first_weeks(view.active_total(), weeks);
+        let (granularity, offset) = (self.granularity(), self.offset());
+        let windows = match self {
+            Family::Weekly if observed_every_week(&active, weeks) => {
+                weekly_windows(&aggregate(&active, granularity, offset), weeks, offset)
+            }
+            Family::Daily if observed_every_day(&active, weeks) => {
+                daily_windows(&aggregate(&active, granularity, offset), weeks, offset)
+            }
+            _ => Vec::new(),
+        };
+        windows
+            .into_iter()
+            .map(|w| {
+                let r = WindowRef {
+                    gateway: view.id,
+                    week: w.week,
+                    weekday: w.weekday,
+                };
+                (r, w.series.into_values())
+            })
+            .collect()
+    }
+
+    /// The motif set over every gateway's windows (in id order): the
+    /// shared sketch index and the discovered motifs.
+    pub fn build(self, per_gateway: Vec<Windows>, weeks: u32) -> MotifSet {
+        let mut refs = Vec::new();
+        let mut windows = Vec::new();
+        let mut n_gateways = 0usize;
+        for gw_windows in per_gateway {
+            if !gw_windows.is_empty() {
+                n_gateways += 1;
+            }
+            for (r, w) in gw_windows {
+                refs.push(r);
+                windows.push(w);
+            }
+        }
+        let config = MotifConfig::default();
+        let index = MotifIndex::new(&windows, config.min_observations);
+        let motifs = discover_motifs_indexed(&index, &config, None);
+        MotifSet {
+            refs,
+            windows,
+            index,
+            motifs,
+            n_gateways,
+            weeks,
+            offset: self.offset(),
+            granularity: self.granularity(),
+        }
+    }
+
+    /// The family's representative motifs (distinct behavioral labels).
+    pub fn representatives(self, set: &MotifSet) -> Vec<usize> {
+        match self {
+            Family::Weekly => weekly_representatives(set),
+            Family::Daily => daily_representatives(set),
+        }
+    }
+
+    fn kind(self) -> &'static str {
+        match self {
+            Family::Weekly => "weekly",
+            Family::Daily => "daily",
+        }
+    }
+
+    fn walk(self, fleet: &Fleet) -> MotifSet {
+        let mut plan = Plan::new(fleet);
+        plan.motif_set(self);
+        plan.walk().into_motif_set(self)
+    }
+}
+
 /// Weekly motifs: 8-hour bins with the 2am day start (the Figure 6 winner),
 /// six weeks of data, gateways with at least one observation every week.
 pub fn weekly_motifs(fleet: &Fleet) -> MotifSet {
-    let weeks = fleet.config().weeks.min(6);
-    let granularity = Granularity::hours(8);
-    let offset = 120;
-    let per_gateway = fleet_map(fleet, |gw| {
-        let active = first_weeks(&active_total(&gw), weeks);
-        if !observed_every_week(&active, weeks) {
-            return Vec::new();
-        }
-        let agg = aggregate(&active, granularity, offset);
-        weekly_windows(&agg, weeks, offset)
-            .into_iter()
-            .map(|w| {
-                (
-                    WindowRef {
-                        gateway: gw.id,
-                        week: w.week,
-                        weekday: None,
-                    },
-                    w.series.into_values(),
-                )
-            })
-            .collect::<Vec<_>>()
-    });
-    let mut refs = Vec::new();
-    let mut windows = Vec::new();
-    let mut n_gateways = 0usize;
-    for gw_windows in per_gateway {
-        if !gw_windows.is_empty() {
-            n_gateways += 1;
-        }
-        for (r, w) in gw_windows {
-            refs.push(r);
-            windows.push(w);
-        }
-    }
-    let config = MotifConfig::default();
-    let index = MotifIndex::new(&windows, config.min_observations);
-    let motifs = discover_motifs_indexed(&index, &config, None);
-    MotifSet {
-        refs,
-        windows,
-        index,
-        motifs,
-        n_gateways,
-        weeks,
-        offset,
-        granularity,
-    }
+    Family::Weekly.walk(fleet)
 }
 
 /// Daily motifs: 3-hour bins from midnight (the Figure 8 winner), four
 /// weeks, gateways with at least one observation every day.
 pub fn daily_motifs(fleet: &Fleet) -> MotifSet {
-    let weeks = fleet.config().weeks.min(4);
-    let granularity = Granularity::hours(3);
-    let offset = 0;
-    let per_gateway = fleet_map(fleet, |gw| {
-        let active = first_weeks(&active_total(&gw), weeks);
-        if !observed_every_day(&active, weeks) {
-            return Vec::new();
-        }
-        let agg = aggregate(&active, granularity, offset);
-        daily_windows(&agg, weeks, offset)
-            .into_iter()
-            .map(|w| {
-                (
-                    WindowRef {
-                        gateway: gw.id,
-                        week: w.week,
-                        weekday: w.weekday,
-                    },
-                    w.series.into_values(),
-                )
-            })
-            .collect::<Vec<_>>()
-    });
-    let mut refs = Vec::new();
-    let mut windows = Vec::new();
-    let mut n_gateways = 0usize;
-    for gw_windows in per_gateway {
-        if !gw_windows.is_empty() {
-            n_gateways += 1;
-        }
-        for (r, w) in gw_windows {
-            refs.push(r);
-            windows.push(w);
-        }
-    }
-    let config = MotifConfig::default();
-    let index = MotifIndex::new(&windows, config.min_observations);
-    let motifs = discover_motifs_indexed(&index, &config, None);
-    MotifSet {
-        refs,
-        windows,
-        index,
-        motifs,
-        n_gateways,
-        weeks,
-        offset,
-        granularity,
-    }
+    Family::Daily.walk(fleet)
+}
+
+/// Figures 9–10 over both families.
+pub fn fig9_10_folds(plan: &mut Plan<'_>) -> Finish {
+    plan.motif_set(Family::Weekly);
+    plan.motif_set(Family::Daily);
+    Box::new(|r, out| {
+        fig9_10(r.motif_set(Family::Weekly), "weekly", out);
+        fig9_10(r.motif_set(Family::Daily), "daily", out);
+    })
+}
+
+/// [`fig11`] over the weekly set.
+pub fn fig11_folds(plan: &mut Plan<'_>) -> Finish {
+    plan.motif_set(Family::Weekly);
+    Box::new(|r, out| fig11(r.motif_set(Family::Weekly), out))
+}
+
+/// [`fig14`] over the daily set.
+pub fn fig14_folds(plan: &mut Plan<'_>) -> Finish {
+    plan.motif_set(Family::Daily);
+    Box::new(|r, out| fig14(r.motif_set(Family::Daily), out))
+}
+
+/// Figures 12–13: [`motif_dominance`] of the weekly representatives.
+pub fn fig12_13_folds(plan: &mut Plan<'_>) -> Finish {
+    member_dominance_folds(plan, Family::Weekly)
+}
+
+/// Figures 15–16: [`motif_dominance`] of the daily representatives.
+pub fn fig15_16_folds(plan: &mut Plan<'_>) -> Finish {
+    member_dominance_folds(plan, Family::Daily)
+}
+
+fn member_dominance_folds(plan: &mut Plan<'_>, family: Family) -> Finish {
+    plan.motif_members(family);
+    Box::new(move |r, out| {
+        let (set, rows) = r.motif_members(family);
+        let selection = family.representatives(set);
+        motif_dominance_tables(set, &selection, family.kind(), rows, out);
+    })
 }
 
 /// Figure 9 + Figure 10: support distributions and per-gateway motif
@@ -434,44 +501,66 @@ pub fn motif_dominance(
     kind: &str,
     out: Option<&Path>,
 ) {
-    // Member windows grouped by gateway so each gateway renders once.
-    let top_motifs: Vec<(usize, &Motif)> = selection
-        .iter()
-        .enumerate()
-        .map(|(pos, &k)| (pos, &set.motifs[k]))
-        .collect();
-    let mut by_gateway: HashMap<usize, Vec<(usize, usize)>> = HashMap::new(); // gw -> (motif, window idx)
-    for (k, m) in &top_motifs {
-        for &i in &m.members {
+    let mut walk = Walk::default();
+    let rows = member_folds(&mut walk, set, selection);
+    let rows = walk.run(fleet).take(rows);
+    motif_dominance_tables(set, selection, kind, rows, out);
+}
+
+/// One member window's dominant devices.
+pub struct MemberRow {
+    /// Position of the member's motif in the selection.
+    motif: usize,
+    /// Number of dominant devices in the window.
+    dominants: usize,
+    /// How many of them are also overall (first-weeks) dominants.
+    overlap: usize,
+    /// Inferred type of each dominant device.
+    types: Vec<DeviceType>,
+}
+
+/// Adds the fold over the gateways of the selected motifs' members to
+/// `walk`: one [`MemberRow`] per member window of each gateway.
+pub fn member_folds<'a>(
+    walk: &mut Walk<'a>,
+    set: &'a MotifSet,
+    selection: &[usize],
+) -> Slot<Vec<MemberRow>> {
+    // Member windows grouped by gateway so each gateway renders once:
+    // gateway -> (motif position, window index).
+    let mut by_gateway: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+    for (pos, &k) in selection.iter().enumerate() {
+        for &i in &set.motifs[k].members {
             by_gateway
                 .entry(set.refs[i].gateway)
                 .or_default()
-                .push((*k, i));
+                .push((pos, i));
         }
     }
+    let ids: Vec<usize> = by_gateway.keys().copied().collect();
+    walk.fold_over(ids, move |view| {
+        member_rows(view, set, &by_gateway[&view.id])
+    })
+}
 
-    // Per motif: distribution of #dominant per member, overlap with overall,
-    // type counts, workday/weekend counts.
-    let mut dom_count: Vec<HashMap<usize, usize>> = vec![HashMap::new(); top_motifs.len()];
-    let mut overlap: Vec<HashMap<usize, usize>> = vec![HashMap::new(); top_motifs.len()];
-    let mut types: Vec<HashMap<DeviceType, usize>> = vec![HashMap::new(); top_motifs.len()];
-
-    for (&gw_id, members) in &by_gateway {
-        let gw = fleet.gateway(gw_id);
-        let device_series: Vec<TimeSeries> = gw.devices.iter().map(|d| d.total()).collect();
-        let total = TimeSeries::sum_all(device_series.iter()).expect("devices");
-        // Overall dominants over the first 4 weeks.
-        let weeks4 = first_weeks(&total, set.weeks);
-        let dev4: Vec<TimeSeries> = device_series
-            .iter()
-            .map(|d| first_weeks(d, set.weeks))
-            .collect();
-        let overall: Vec<usize> = dominant_devices(&weeks4, &dev4, 0.6)
-            .into_iter()
-            .map(|d| d.device)
-            .collect();
-
-        for &(k, i) in members {
+fn member_rows(view: &GatewayView, set: &MotifSet, members: &[(usize, usize)]) -> Vec<MemberRow> {
+    // Overall dominants over the set's weeks; over four weeks they are the
+    // view's memoized evaluation, shared by both families.
+    let memo = view
+        .dominance()
+        .filter(|_| set.weeks == DOMINANCE_WEEKS)
+        .map(|d| dominants_above(&d.similarities, 0.6));
+    let overall: Vec<usize> = memo
+        .unwrap_or_else(|| {
+            let total = gateway_total(view, set.weeks);
+            dominant_devices(&total, device_series(view, set.weeks), 0.6)
+        })
+        .into_iter()
+        .map(|d| d.device)
+        .collect();
+    members
+        .iter()
+        .map(|&(k, i)| {
             let r = set.refs[i];
             // The member's time slot in raw minutes.
             let (start, len) = match r.weekday {
@@ -486,18 +575,55 @@ pub fn motif_dominance(
                     MINUTES_PER_DAY as usize,
                 ),
             };
-            let slot_total = total.slice(start, len);
-            let slot_devices: Vec<TimeSeries> =
-                device_series.iter().map(|d| d.slice(start, len)).collect();
+            // Each device's total over the slot, and their sum.
+            let slot_devices: Vec<TimeSeries> = view
+                .devices
+                .iter()
+                .map(|d| {
+                    d.incoming
+                        .slice(start, len)
+                        .add(&d.outgoing.slice(start, len))
+                })
+                .collect();
+            let slot_total = TimeSeries::sum_all(slot_devices.iter()).expect("devices");
             let dom = dominant_devices(&slot_total, &slot_devices, 0.6);
-            *dom_count[k].entry(dom.len().min(4)).or_insert(0) += 1;
-            let n_overlap = dom.iter().filter(|d| overall.contains(&d.device)).count();
-            *overlap[k].entry(n_overlap.min(3)).or_insert(0) += 1;
-            for d in &dom {
-                *types[k]
-                    .entry(gw.devices[d.device].inferred_type())
-                    .or_insert(0) += 1;
+            MemberRow {
+                motif: k,
+                dominants: dom.len(),
+                overlap: dom.iter().filter(|d| overall.contains(&d.device)).count(),
+                types: dom
+                    .iter()
+                    .map(|d| view.devices[d.device].inferred_type())
+                    .collect(),
             }
+        })
+        .collect()
+}
+
+/// Tallies the member rows per selected motif and writes the tables.
+fn motif_dominance_tables(
+    set: &MotifSet,
+    selection: &[usize],
+    kind: &str,
+    rows: Vec<Vec<MemberRow>>,
+    out: Option<&Path>,
+) {
+    let top_motifs: Vec<(usize, &Motif)> = selection
+        .iter()
+        .enumerate()
+        .map(|(pos, &k)| (pos, &set.motifs[k]))
+        .collect();
+    // Per motif: distribution of #dominant per member, overlap with overall,
+    // type counts, workday/weekend counts.
+    let mut dom_count: Vec<HashMap<usize, usize>> = vec![HashMap::new(); top_motifs.len()];
+    let mut overlap: Vec<HashMap<usize, usize>> = vec![HashMap::new(); top_motifs.len()];
+    let mut types: Vec<HashMap<DeviceType, usize>> = vec![HashMap::new(); top_motifs.len()];
+    for row in rows.into_iter().flatten() {
+        let k = row.motif;
+        *dom_count[k].entry(row.dominants.min(4)).or_insert(0) += 1;
+        *overlap[k].entry(row.overlap.min(3)).or_insert(0) += 1;
+        for ty in row.types {
+            *types[k].entry(ty).or_insert(0) += 1;
         }
     }
 
@@ -601,35 +727,50 @@ pub fn ablation_group_factor(set: &MotifSet, out: Option<&Path>) {
 /// daily motif search separately inside each gateway and reports how many
 /// homes have personal recurring patterns.
 pub fn motifs_within_gateways(fleet: &Fleet, out: Option<&Path>) {
-    let weeks = fleet.config().weeks.min(4);
-    let granularity = Granularity::hours(3);
-    let mut gateways_with_motifs = 0usize;
-    let mut eligible = 0usize;
-    let mut best: Option<(usize, usize, f64)> = None; // (gateway, support, weekend share)
-    let mut support_hist: HashMap<usize, usize> = HashMap::new();
-    for gw in fleet.iter() {
-        let active = first_weeks(&active_total(&gw), weeks);
+    run_alone(fleet, motifs_within_folds, out);
+}
+
+/// [`motifs_within_gateways`]'s folds: per daily-eligible gateway, the
+/// support and weekend share of its largest personal motif, if any.
+pub fn motifs_within_folds(plan: &mut Plan<'_>) -> Finish {
+    let weeks = plan.fleet().config().weeks.min(4);
+    let tops = plan.each(move |view| {
+        let active = first_weeks(view.active_total(), weeks);
         if !observed_every_day(&active, weeks) {
-            continue;
+            return None;
         }
-        eligible += 1;
-        let agg = aggregate(&active, granularity, 0);
+        let agg = aggregate(&active, Granularity::hours(3), 0);
         let mut refs = Vec::new();
         let mut windows = Vec::new();
         for w in daily_windows(&agg, weeks, 0) {
             refs.push(WindowRef {
-                gateway: gw.id,
+                gateway: view.id,
                 week: w.week,
                 weekday: w.weekday,
             });
             windows.push(w.series.into_values());
         }
         let motifs = discover_motifs(&windows, &MotifConfig::default());
-        if let Some(top) = motifs.first() {
+        Some(
+            motifs
+                .first()
+                .map(|top| (top.support(), top.weekend_fraction(&refs))),
+        )
+    });
+    Box::new(move |r, out| motifs_within_tables(r.take(tops), out))
+}
+
+fn motifs_within_tables(tops: Vec<Option<Option<(usize, f64)>>>, out: Option<&Path>) {
+    let mut gateways_with_motifs = 0usize;
+    let mut eligible = 0usize;
+    let mut best: Option<(usize, usize, f64)> = None; // (gateway, support, weekend share)
+    for (id, top) in tops.into_iter().enumerate() {
+        let Some(top) = top else { continue };
+        eligible += 1;
+        if let Some((support, weekend)) = top {
             gateways_with_motifs += 1;
-            *support_hist.entry(top.support().min(20)).or_insert(0) += 1;
-            if best.is_none_or(|(_, s, _)| top.support() > s) {
-                best = Some((gw.id, top.support(), top.weekend_fraction(&refs)));
+            if best.is_none_or(|(_, s, _)| support > s) {
+                best = Some((id, support, weekend));
             }
         }
     }

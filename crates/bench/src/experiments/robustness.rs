@@ -1,13 +1,14 @@
 //! Robustness sweep: the headline findings must hold across seeds and
 //! deployment scenarios, or they are artifacts of one synthetic draw.
 
-use crate::data::{first_weeks, observed_every_week};
+use crate::data::{first_weeks, fleet_map, observed_every_week};
+use crate::experiments::dominance::{device_series, gateway_total};
+use crate::experiments::{Finish, Plan};
 use crate::report::{fmt, pct, Table};
 use std::path::Path;
 use wtts_core::dominance::dominant_devices;
 use wtts_gwsim::{Fleet, FleetConfig};
 use wtts_stats::pearson;
-use wtts_timeseries::TimeSeries;
 
 /// Headline statistics of one fleet draw.
 struct Headline {
@@ -16,40 +17,46 @@ struct Headline {
     mean_dominants: f64,
 }
 
+/// One walk of the fleet, in parallel: per gateway, its in/out correlation
+/// (when over 1000 minutes pair up) and, when it is observed in every
+/// week, its number of dominant devices; folded in id order.
 fn headline(fleet: &Fleet) -> Headline {
     let weeks = 2;
+    let per_gateway = fleet_map(fleet, |gw| {
+        let inc = first_weeks(&gw.aggregate_incoming(), weeks);
+        let out = first_weeks(&gw.aggregate_outgoing(), weeks);
+        let r = pearson(inc.values(), out.values());
+        let total = gateway_total(&gw, weeks);
+        let dominants = observed_every_week(&total, weeks)
+            .then(|| dominant_devices(&total, device_series(&gw, weeks), 0.6).len());
+        ((r.n > 1000).then_some(r.value), dominants)
+    });
     let mut cors = Vec::new();
     let mut eligible = 0usize;
     let mut with_dominant = 0usize;
     let mut dominants = 0usize;
-    for gw in fleet.iter() {
-        let inc = first_weeks(&gw.aggregate_incoming(), weeks);
-        let out = first_weeks(&gw.aggregate_outgoing(), weeks);
-        let r = pearson(inc.values(), out.values());
-        if r.n > 1000 {
-            cors.push(r.value);
-        }
-        let devices: Vec<TimeSeries> = gw
-            .devices
-            .iter()
-            .map(|d| first_weeks(&d.total(), weeks))
-            .collect();
-        let total = TimeSeries::sum_all(devices.iter()).expect("devices");
-        if !observed_every_week(&total, weeks) {
+    for (cor, dom) in per_gateway {
+        cors.extend(cor);
+        let Some(dom) = dom else {
             continue;
-        }
+        };
         eligible += 1;
-        let dom = dominant_devices(&total, &devices, 0.6);
-        if !dom.is_empty() {
+        if dom > 0 {
             with_dominant += 1;
         }
-        dominants += dom.len();
+        dominants += dom;
     }
     Headline {
         in_out_mean: wtts_stats::mean(&cors),
         share_with_dominant: with_dominant as f64 / eligible.max(1) as f64,
         mean_dominants: dominants as f64 / eligible.max(1) as f64,
     }
+}
+
+/// The robustness experiment reads no gateway of the run's fleet: it
+/// renders its own five fleets in its finish step.
+pub fn robustness_folds(_: &mut Plan<'_>) -> Finish {
+    Box::new(|_, out| robustness(out))
 }
 
 /// Sweeps seeds and scenarios, reporting the fleet-level statistics the

@@ -1,7 +1,7 @@
 //! §2 quantified: why SAX-based motif tools fail on Zipfian traffic.
 
 use crate::data::first_weeks;
-use crate::experiments::standard::most_observed_gateways;
+use crate::experiments::{run_alone, Finish, Plan};
 use crate::report::{pct, Table};
 use std::path::Path;
 use wtts_core::sax::{alphabet_utilization, dominant_symbol_share, sax_word};
@@ -12,7 +12,23 @@ use wtts_stats::z_normalize;
 /// a Gaussian control signal, and shows that z-normalization does not
 /// normalize Zipfian values.
 pub fn sec2_sax(fleet: &Fleet, out: Option<&Path>) {
-    let ids = most_observed_gateways(fleet, 5);
+    run_alone(fleet, sec2_sax_folds, out);
+}
+
+/// [`sec2_sax`]'s folds: the week-0 values of the five most observed
+/// gateways, which serve both tables.
+pub fn sec2_sax_folds(plan: &mut Plan<'_>) -> Finish {
+    let week0 = plan.top(5, |view, _| {
+        let values = first_weeks(view.aggregate_total(), 1).observed_values();
+        (view.id, values)
+    });
+    Box::new(move |r, out| {
+        let (ids, week0): (Vec<usize>, Vec<Vec<f64>>) = r.take_top(week0).into_iter().unzip();
+        sec2_sax_tables(&ids, &week0, out);
+    })
+}
+
+fn sec2_sax_tables(ids: &[usize], week0: &[Vec<f64>], out: Option<&Path>) {
     let alphabet = 8;
     let segments = 64;
 
@@ -20,12 +36,7 @@ pub fn sec2_sax(fleet: &Fleet, out: Option<&Path>) {
         "Sec 2 - SAX alphabet utilization on traffic vs Gaussian control",
         &["series", "utilization", "dominant symbol share"],
     );
-    // Each gateway's week-0 values are rendered once and serve both tables.
-    let week0: Vec<Vec<f64>> = ids
-        .iter()
-        .map(|&id| first_weeks(&fleet.gateway(id).aggregate_total(), 1).observed_values())
-        .collect();
-    for (&id, values) in ids.iter().zip(&week0) {
+    for (&id, values) in ids.iter().zip(week0) {
         let word = sax_word(values, segments, alphabet);
         t.row(&[
             format!("gateway {id}"),
@@ -49,7 +60,7 @@ pub fn sec2_sax(fleet: &Fleet, out: Option<&Path>) {
         "Sec 2 - z-normalized traffic is not normal",
         &["series", "|z| < 0.43 share", "expected if normal"],
     );
-    for (&id, values) in ids.iter().zip(&week0).take(3) {
+    for (&id, values) in ids.iter().zip(week0).take(3) {
         let z = z_normalize(values);
         let central = z.iter().filter(|v| v.abs() < 0.43).count() as f64 / z.len() as f64;
         t.row(&[format!("gateway {id}"), pct(central), pct(0.333)]);

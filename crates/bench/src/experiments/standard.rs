@@ -1,25 +1,33 @@
 //! Section 4 standard analyses: Figures 1–3 and the §4.1/§4.2 text results.
 
 use crate::data::first_weeks;
+use crate::experiments::{run_alone, Finish, Plan};
 use crate::report::{fmt, pct, Table};
+use crate::walk::GatewayView;
 use std::path::Path;
 use wtts_core::clustering::cluster_correlated;
 use wtts_gwsim::Fleet;
-use wtts_stats::zipf::fit_zipf;
+use wtts_stats::zipf::{fit_zipf, ZipfFit};
 use wtts_stats::{
     acf, adf_test, ccf, effective_sample_size, kpss_test, ks_two_sample, pearson,
     significance_bound, significance_bound_effective, BoxplotStats, Kde,
 };
-use wtts_timeseries::{aggregate, Granularity};
+use wtts_timeseries::{aggregate, Granularity, TimeSeries};
 
 /// Ranks gateway ids by number of week-0 observations, densest first (a
 /// stable sort, so ties keep id order). Reads the fleet's coverage memo, so
 /// only the first call on a fleet renders it.
 pub fn most_observed_gateways(fleet: &Fleet, top: usize) -> Vec<usize> {
-    let coverage = fleet.week0_coverage();
-    let mut ids: Vec<usize> = (0..fleet.len()).collect();
-    ids.sort_by_key(|&id| std::cmp::Reverse(coverage[id]));
+    let mut ids = ranking(fleet.week0_coverage());
     ids.truncate(top);
+    ids
+}
+
+/// Every gateway id ranked by its week-0 coverage, densest first (stable:
+/// ties keep id order).
+pub fn ranking(coverage: &[usize]) -> Vec<usize> {
+    let mut ids: Vec<usize> = (0..coverage.len()).collect();
+    ids.sort_by_key(|&id| std::cmp::Reverse(coverage[id]));
     ids
 }
 
@@ -27,9 +35,22 @@ pub fn most_observed_gateways(fleet: &Fleet, top: usize) -> Vec<usize> {
 /// PDF near zero, the raw series' shape, boxplots with and without
 /// outliers.
 pub fn fig1(fleet: &Fleet, out: Option<&Path>) {
-    let id = most_observed_gateways(fleet, 1)[0];
-    let gw = fleet.gateway(id);
-    let incoming = first_weeks(&gw.aggregate_incoming(), 1);
+    run_alone(fleet, fig1_folds, out);
+}
+
+/// [`fig1`]'s folds: the week-0 incoming series of the most observed
+/// gateway.
+pub fn fig1_folds(plan: &mut Plan<'_>) -> Finish {
+    let typical = plan.top(1, |view, _| {
+        (view.id, first_weeks(&view.aggregate_incoming(), 1))
+    });
+    Box::new(move |r, out| {
+        let (id, incoming) = r.take_top(typical).remove(0);
+        fig1_tables(id, &incoming, out);
+    })
+}
+
+fn fig1_tables(id: usize, incoming: &TimeSeries, out: Option<&Path>) {
     let values = incoming.observed_values();
     println!(
         "Typical gateway = #{id}: {} observations in week 0, max {} bytes/min",
@@ -55,7 +76,7 @@ pub fn fig1(fleet: &Fleet, out: Option<&Path>) {
         "Fig 1b - incoming traffic by hour (week 0)",
         &["hour", "mean B/min", "max B/min"],
     );
-    let hourly = aggregate(&incoming, Granularity::hours(1), 0);
+    let hourly = aggregate(incoming, Granularity::hours(1), 0);
     for h in 0..24 {
         let vals: Vec<f64> = hourly
             .values()
@@ -98,30 +119,36 @@ pub fn fig1(fleet: &Fleet, out: Option<&Path>) {
 /// §4.1 text: Zipf-law fit of traffic values of the 10 most representative
 /// gateways and the incoming/outgoing correlation across the fleet.
 pub fn sec4_dist(fleet: &Fleet, out: Option<&Path>) {
-    let ids = most_observed_gateways(fleet, 10);
-    // One walk serves both tables: the top-10 gateways' Zipf fits are
-    // taken on the way, then emitted in rank order.
-    let mut fits = vec![None; ids.len()];
-    // In/out correlation across all gateways (paper: mean .92, median .95,
-    // stddev .08).
-    let mut cors = Vec::new();
-    for gw in fleet.iter() {
-        if let Some(rank) = ids.iter().position(|&id| id == gw.id) {
-            let values = first_weeks(&gw.aggregate_total(), 1).observed_values();
-            fits[rank] = fit_zipf(&values, 20);
-        }
-        let inc = first_weeks(&gw.aggregate_incoming(), 4);
-        let outg = first_weeks(&gw.aggregate_outgoing(), 4);
+    run_alone(fleet, sec4_dist_folds, out);
+}
+
+/// [`sec4_dist`]'s folds: the Zipf fit of each top-10 gateway's week-0
+/// values, and every gateway's significant in/out correlation (paper: mean
+/// .92, median .95, stddev .08).
+pub fn sec4_dist_folds(plan: &mut Plan<'_>) -> Finish {
+    let fits = plan.top(10, |view, _| {
+        let values = first_weeks(view.aggregate_total(), 1).observed_values();
+        (view.id, fit_zipf(&values, 20))
+    });
+    let cors = plan.each(|view| {
+        let inc = first_weeks(&view.aggregate_incoming(), 4);
+        let outg = first_weeks(&view.aggregate_outgoing(), 4);
         let r = pearson(inc.values(), outg.values());
-        if r.n > 1000 && r.significant(0.05) {
-            cors.push(r.value);
-        }
-    }
+        (r.n > 1000 && r.significant(0.05)).then_some(r.value)
+    });
+    Box::new(move |r, out| {
+        let fits = r.take_top(fits);
+        let cors: Vec<f64> = r.take(cors).into_iter().flatten().collect();
+        sec4_dist_tables(&fits, &cors, out);
+    })
+}
+
+fn sec4_dist_tables(fits: &[(usize, Option<ZipfFit>)], cors: &[f64], out: Option<&Path>) {
     let mut t = Table::new(
         "Sec 4.1 - Zipf fits of per-minute traffic (top-10 gateways)",
         &["gateway", "exponent", "r^2", "zipfian?"],
     );
-    for (&id, fit) in ids.iter().zip(&fits) {
+    for (id, fit) in fits {
         match fit {
             Some(fit) => t.row(&[
                 id.to_string(),
@@ -139,9 +166,9 @@ pub fn sec4_dist(fleet: &Fleet, out: Option<&Path>) {
         &["stat", "value"],
     );
     t.row(&["gateways".into(), cors.len().to_string()]);
-    t.row(&["mean".into(), fmt(wtts_stats::mean(&cors), 3)]);
-    t.row(&["median".into(), fmt(wtts_stats::median(&cors), 3)]);
-    t.row(&["stddev".into(), fmt(wtts_stats::std_dev(&cors), 3)]);
+    t.row(&["mean".into(), fmt(wtts_stats::mean(cors), 3)]);
+    t.row(&["median".into(), fmt(wtts_stats::median(cors), 3)]);
+    t.row(&["stddev".into(), fmt(wtts_stats::std_dev(cors), 3)]);
     t.emit(out);
 }
 
@@ -149,25 +176,31 @@ pub fn sec4_dist(fleet: &Fleet, out: Option<&Path>) {
 /// gateway pair, at a 1-hour aggregation (per-minute lags are dominated by
 /// burst noise).
 pub fn fig2(fleet: &Fleet, out: Option<&Path>) {
-    let ids = most_observed_gateways(fleet, 6);
-    // Each candidate is rendered once; its hourly series also feeds the CCF
-    // of the two densest gateways below.
-    let hourly: Vec<Vec<f64>> = ids
-        .iter()
-        .map(|&id| {
-            let gw = fleet.gateway(id);
-            aggregate(
-                &first_weeks(&gw.aggregate_total(), 2),
-                Granularity::hours(1),
-                0,
-            )
-            .into_values()
-        })
-        .collect();
+    run_alone(fleet, fig2_folds, out);
+}
+
+/// [`fig2`]'s folds: the two-week hourly series of the six most observed
+/// gateways; the two densest also feed the CCF.
+pub fn fig2_folds(plan: &mut Plan<'_>) -> Finish {
+    let hourly = plan.top(6, |view, _| {
+        let hourly = aggregate(
+            &first_weeks(view.aggregate_total(), 2),
+            Granularity::hours(1),
+            0,
+        );
+        (view.id, hourly.into_values())
+    });
+    Box::new(move |r, out| {
+        let (ids, hourly): (Vec<usize>, Vec<Vec<f64>>) = r.take_top(hourly).into_iter().unzip();
+        fig2_tables(&ids, &hourly, out);
+    })
+}
+
+fn fig2_tables(ids: &[usize], hourly: &[Vec<f64>], out: Option<&Path>) {
     // Pick the gateway with the strongest lag-24h (daily) autocorrelation.
     let acfs: Vec<(usize, Vec<f64>, &[f64])> = ids
         .iter()
-        .zip(&hourly)
+        .zip(hourly)
         .filter_map(|(&id, hourly)| {
             let a = acf(hourly, 48).ok()?;
             (a.len() > 24 && a[24].is_finite()).then_some((id, a, hourly.as_slice()))
@@ -234,63 +267,91 @@ pub fn fig2(fleet: &Fleet, out: Option<&Path>) {
 /// traffic vs connected-device-count correlation is weak; distribution
 /// similarity (KS) grows with the aggregation period.
 pub fn sec4_stat(fleet: &Fleet, out: Option<&Path>) {
-    let sample: Vec<usize> = most_observed_gateways(fleet, 30);
-    // The KS table's granularities, run on the first 12 sampled gateways
-    // off the same render as the classical tests: (rejected, pairs) each.
-    let ks_granularities = [
-        Granularity::minutes(1),
-        Granularity::minutes(30),
-        Granularity::hours(3),
-        Granularity::hours(8),
-    ];
+    run_alone(fleet, sec4_stat_folds, out);
+}
+
+/// The KS table's granularities, run on the 12 most observed gateways.
+const KS_GRANULARITIES: [Granularity; 4] = [
+    Granularity::minutes(1),
+    Granularity::minutes(30),
+    Granularity::hours(3),
+    Granularity::hours(8),
+];
+
+/// One sampled gateway's §4.2 results.
+struct Sec4Stat {
+    /// Per KS granularity: whether the two weeks were rejected as one
+    /// distribution (`None` when no pair was tested, or rank ≥ 12).
+    ks: [Option<bool>; 4],
+    /// The classical checks, for gateways with ≥ 2000 week-0 observations.
+    classical: Option<Classical>,
+}
+
+struct Classical {
+    kpss_rejects: bool,
+    adf_keeps_unit_root: bool,
+    /// Significant traffic ~ #devices correlation similarity.
+    device_cor: Option<f64>,
+}
+
+fn sec4_stat_extract(view: &GatewayView, rank: usize) -> Sec4Stat {
+    let aggregate_total = view.aggregate_total();
+    let mut ks = [None; 4];
+    if rank < 12 {
+        let two_weeks = first_weeks(aggregate_total, 2);
+        for (g, rejected) in KS_GRANULARITIES.iter().zip(&mut ks) {
+            let agg = aggregate(&two_weeks, *g, 0);
+            let windows = wtts_timeseries::weekly_windows(&agg, 2, 0);
+            if windows.len() == 2 && windows.iter().all(|w| w.has_observations()) {
+                *rejected = ks_two_sample(windows[0].series.values(), windows[1].series.values())
+                    .map(|ks| ks.rejected(0.05));
+            }
+        }
+    }
+    let total = first_weeks(aggregate_total, 1);
+    let values = total.observed_values();
+    let classical = (values.len() >= 2000).then(|| {
+        // Traffic vs number of connected devices, with the paper's
+        // correlation similarity measure (Definition 1).
+        let devices = first_weeks(&view.connected_devices(), 1);
+        let sim = wtts_core::similarity::correlation_similarity(total.values(), devices.values());
+        Classical {
+            kpss_rejects: kpss_test(&values).is_some_and(|k| k.rejects_stationarity(0.05)),
+            adf_keeps_unit_root: adf_test(&values[..values.len().min(5000)], None)
+                .is_some_and(|a| !a.rejects_unit_root(0.05)),
+            device_cor: sim.is_significant().then_some(sim.value),
+        }
+    });
+    Sec4Stat { ks, classical }
+}
+
+/// [`sec4_stat`]'s folds: the 30 most observed gateways, in rank order.
+pub fn sec4_stat_folds(plan: &mut Plan<'_>) -> Finish {
+    let sample = plan.top(30, sec4_stat_extract);
+    Box::new(move |r, out| sec4_stat_tables(r.take_top(sample), out))
+}
+
+fn sec4_stat_tables(sample: Vec<Sec4Stat>, out: Option<&Path>) {
+    // (rejected, pairs) per KS granularity.
     let mut ks_counts = [(0usize, 0usize); 4];
     let mut kpss_reject = 0usize;
     let mut adf_nonreject = 0usize;
     let mut tested = 0usize;
     let mut device_cors = Vec::new();
-    for (k, &id) in sample.iter().enumerate() {
-        let gw = fleet.gateway(id);
-        let aggregate_total = gw.aggregate_total();
-        if k < 12 {
-            let two_weeks = first_weeks(&aggregate_total, 2);
-            for (g, (rejected, pairs)) in ks_granularities.iter().zip(&mut ks_counts) {
-                let agg = aggregate(&two_weeks, *g, 0);
-                let windows = wtts_timeseries::weekly_windows(&agg, 2, 0);
-                if windows.len() == 2 && windows.iter().all(|w| w.has_observations()) {
-                    if let Some(ks) =
-                        ks_two_sample(windows[0].series.values(), windows[1].series.values())
-                    {
-                        *pairs += 1;
-                        if ks.rejected(0.05) {
-                            *rejected += 1;
-                        }
-                    }
-                }
+    for gw in sample {
+        for (ks, (rejected, pairs)) in gw.ks.iter().zip(&mut ks_counts) {
+            if let Some(ks) = ks {
+                *pairs += 1;
+                *rejected += usize::from(*ks);
             }
         }
-        let total = first_weeks(&aggregate_total, 1);
-        let values = total.observed_values();
-        if values.len() < 2000 {
+        let Some(c) = gw.classical else {
             continue;
-        }
+        };
         tested += 1;
-        if let Some(k) = kpss_test(&values) {
-            if k.rejects_stationarity(0.05) {
-                kpss_reject += 1;
-            }
-        }
-        if let Some(a) = adf_test(&values[..values.len().min(5000)], None) {
-            if !a.rejects_unit_root(0.05) {
-                adf_nonreject += 1;
-            }
-        }
-        // Traffic vs number of connected devices, with the paper's
-        // correlation similarity measure (Definition 1).
-        let devices = first_weeks(&gw.connected_devices(), 1);
-        let sim = wtts_core::similarity::correlation_similarity(total.values(), devices.values());
-        if sim.is_significant() {
-            device_cors.push(sim.value);
-        }
+        kpss_reject += usize::from(c.kpss_rejects);
+        adf_nonreject += usize::from(c.adf_keeps_unit_root);
+        device_cors.extend(c.device_cor);
     }
     let mut t = Table::new(
         "Sec 4.2 - classical stationarity at 1-min binning",
@@ -324,7 +385,7 @@ pub fn sec4_stat(fleet: &Fleet, out: Option<&Path>) {
         "Sec 4.2 - KS rejections between weeks vs aggregation",
         &["granularity", "KS rejected"],
     );
-    for (g, (rejected, pairs)) in ks_granularities.iter().zip(ks_counts) {
+    for (g, (rejected, pairs)) in KS_GRANULARITIES.iter().zip(ks_counts) {
         t.row(&[g.to_string(), pct(rejected as f64 / pairs.max(1) as f64)]);
     }
     t.emit(out);
@@ -333,20 +394,28 @@ pub fn sec4_stat(fleet: &Fleet, out: Option<&Path>) {
 /// Figure 3: hierarchical clustering of gateway series under the `1 − cor`
 /// distance, cut at 0.4.
 pub fn fig3(fleet: &Fleet, out: Option<&Path>) {
-    let ids = most_observed_gateways(fleet, 10);
-    let series: Vec<Vec<f64>> = ids
-        .iter()
-        .map(|&id| {
-            let gw = fleet.gateway(id);
-            aggregate(
-                &first_weeks(&gw.aggregate_total(), 2),
-                Granularity::hours(3),
-                0,
-            )
-            .into_values()
-        })
-        .collect();
-    let clusters = cluster_correlated(&series, 0.6);
+    run_alone(fleet, fig3_folds, out);
+}
+
+/// [`fig3`]'s folds: the two-week 3-hour series of the ten most observed
+/// gateways.
+pub fn fig3_folds(plan: &mut Plan<'_>) -> Finish {
+    let series = plan.top(10, |view, _| {
+        let binned = aggregate(
+            &first_weeks(view.aggregate_total(), 2),
+            Granularity::hours(3),
+            0,
+        );
+        (view.id, binned.into_values())
+    });
+    Box::new(move |r, out| {
+        let (ids, series): (Vec<usize>, Vec<Vec<f64>>) = r.take_top(series).into_iter().unzip();
+        fig3_tables(&ids, &series, out);
+    })
+}
+
+fn fig3_tables(ids: &[usize], series: &[Vec<f64>], out: Option<&Path>) {
+    let clusters = cluster_correlated(series, 0.6);
     let mut t = Table::new(
         "Fig 3 - correlation clusters of gateways (distance cut 0.4)",
         &["cluster", "gateways"],

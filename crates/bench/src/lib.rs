@@ -8,3 +8,4 @@
 pub mod data;
 pub mod experiments;
 pub mod report;
+pub mod walk;

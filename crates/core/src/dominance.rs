@@ -11,6 +11,7 @@
 
 use crate::engine::correlation_similarity_profiled;
 use crate::similarity::CorSimilarity;
+use std::borrow::Borrow;
 use wtts_stats::{euclidean, CorProfile, CorScratch, ALPHA};
 use wtts_timeseries::TimeSeries;
 
@@ -35,9 +36,9 @@ pub struct DominantDevice {
 /// `gateway_total`. Only significant correlations count (Definition 1
 /// returns 0 otherwise). Callers that threshold one gateway at several φ
 /// should call [`device_similarities`] once and [`dominants_above`] per φ.
-pub fn dominant_devices(
+pub fn dominant_devices<S: Borrow<TimeSeries>>(
     gateway_total: &TimeSeries,
-    device_series: &[TimeSeries],
+    device_series: impl IntoIterator<Item = S>,
     phi: f64,
 ) -> Vec<DominantDevice> {
     dominants_above(&device_similarities(gateway_total, device_series), phi)
@@ -52,17 +53,18 @@ pub fn dominant_devices(
 /// wherever any device is), which the engine's subset tier serves without
 /// sorting the total again. Bit-identical to
 /// [`correlation_similarity`](crate::similarity::correlation_similarity)
-/// per device.
-pub fn device_similarities(
+/// per device. The devices may come from an iterator that builds each
+/// series on demand, so that only one device series is held either.
+pub fn device_similarities<S: Borrow<TimeSeries>>(
     gateway_total: &TimeSeries,
-    device_series: &[TimeSeries],
+    device_series: impl IntoIterator<Item = S>,
 ) -> Vec<CorSimilarity> {
     let total = CorProfile::new(gateway_total.values());
     let mut scratch = CorScratch::new();
     device_series
-        .iter()
+        .into_iter()
         .map(|dev| {
-            let device = CorProfile::new(dev.values());
+            let device = CorProfile::new(dev.borrow().values());
             correlation_similarity_profiled(&total, &device, &mut scratch, ALPHA)
         })
         .collect()
@@ -99,22 +101,27 @@ pub fn rank_dominants(mut hits: Vec<(usize, f64)>) -> Vec<DominantDevice> {
 
 /// Devices ranked by ascending Euclidean distance to the gateway series —
 /// the first baseline of Section 6.2. Returns device indices, closest first.
-pub fn euclidean_ranking(gateway_total: &TimeSeries, device_series: &[TimeSeries]) -> Vec<usize> {
+pub fn euclidean_ranking<S: Borrow<TimeSeries>>(
+    gateway_total: &TimeSeries,
+    device_series: impl IntoIterator<Item = S>,
+) -> Vec<usize> {
     let mut order: Vec<(usize, f64)> = device_series
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(i, dev)| (i, euclidean(gateway_total.values(), dev.values())))
+        .map(|(i, dev)| (i, euclidean(gateway_total.values(), dev.borrow().values())))
         .collect();
     order.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distance"));
     order.into_iter().map(|(i, _)| i).collect()
 }
 
 /// Devices ranked by descending total traffic volume — the second baseline.
-pub fn volume_ranking(device_series: &[TimeSeries]) -> Vec<usize> {
+pub fn volume_ranking<S: Borrow<TimeSeries>>(
+    device_series: impl IntoIterator<Item = S>,
+) -> Vec<usize> {
     let mut order: Vec<(usize, f64)> = device_series
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(i, dev)| (i, dev.total()))
+        .map(|(i, dev)| (i, dev.borrow().total()))
         .collect();
     order.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite volume"));
     order.into_iter().map(|(i, _)| i).collect()

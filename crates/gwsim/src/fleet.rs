@@ -4,7 +4,7 @@ use crate::config::FleetConfig;
 use crate::gateway::{generate_gateway, SimGateway};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use wtts_timeseries::{Minute, MINUTES_PER_WEEK};
+use wtts_timeseries::{Minute, TimeSeries, MINUTES_PER_WEEK};
 
 /// A simulated fleet of residential gateways.
 ///
@@ -20,7 +20,8 @@ use wtts_timeseries::{Minute, MINUTES_PER_WEEK};
 ///
 /// The fleet holds its configuration, a per-gateway week-0 coverage memo
 /// (one `usize` per gateway, filled by one walk the first time
-/// [`Fleet::week0_coverage`] is read) and a render counter. It never holds
+/// [`Fleet::week0_coverage`] is read, or by a caller's own walk through
+/// [`Fleet::set_week0_coverage`]) and a render counter per gateway. It never holds
 /// a series: each gateway's dense traffic is rendered on demand by
 /// [`Fleet::gateway`] from a per-gateway RNG stream. A sequential walk such
 /// as [`Fleet::iter`] therefore holds one rendered gateway at a time, and a
@@ -30,7 +31,8 @@ use wtts_timeseries::{Minute, MINUTES_PER_WEEK};
 pub struct Fleet {
     config: FleetConfig,
     week0_coverage: OnceLock<Vec<usize>>,
-    renders: AtomicUsize,
+    /// Renders of each gateway id through this handle.
+    renders: Box<[AtomicUsize]>,
 }
 
 /// Renders through every [`Fleet`] of the process; see
@@ -38,24 +40,28 @@ pub struct Fleet {
 static PROCESS_RENDERS: AtomicUsize = AtomicUsize::new(0);
 
 /// A clone shares the configuration and any filled coverage memo (both are
-/// functions of the configuration alone); its render counter starts at zero.
+/// functions of the configuration alone); its render counters start at zero.
 impl Clone for Fleet {
     fn clone(&self) -> Fleet {
         Fleet {
             config: self.config.clone(),
             week0_coverage: self.week0_coverage.clone(),
-            renders: AtomicUsize::new(0),
+            renders: zeroed_counters(self.config.n_gateways),
         }
     }
+}
+
+fn zeroed_counters(n: usize) -> Box<[AtomicUsize]> {
+    (0..n).map(|_| AtomicUsize::new(0)).collect()
 }
 
 impl Fleet {
     /// Creates a fleet with the given configuration.
     pub fn new(config: FleetConfig) -> Fleet {
         Fleet {
+            renders: zeroed_counters(config.n_gateways),
             config,
             week0_coverage: OnceLock::new(),
-            renders: AtomicUsize::new(0),
         }
     }
 
@@ -85,7 +91,7 @@ impl Fleet {
     /// Panics if `id >= len()`.
     pub fn gateway(&self, id: usize) -> SimGateway {
         assert!(id < self.config.n_gateways, "gateway id out of range");
-        self.renders.fetch_add(1, Ordering::Relaxed);
+        self.renders[id].fetch_add(1, Ordering::Relaxed);
         PROCESS_RENDERS.fetch_add(1, Ordering::Relaxed);
         generate_gateway(&self.config, id)
     }
@@ -93,7 +99,13 @@ impl Fleet {
     /// How many gateways [`Fleet::gateway`] has rendered through this
     /// handle, across all threads.
     pub fn renders(&self) -> usize {
-        self.renders.load(Ordering::Relaxed)
+        self.renders.iter().map(|r| r.load(Ordering::Relaxed)).sum()
+    }
+
+    /// How many times [`Fleet::gateway`] has rendered gateway `id` through
+    /// this handle.
+    pub fn renders_of(&self, id: usize) -> usize {
+        self.renders[id].load(Ordering::Relaxed)
     }
 
     /// How many gateways [`Fleet::gateway`] has rendered through every
@@ -105,31 +117,45 @@ impl Fleet {
 
     /// Observed (finite) minutes of each gateway's aggregate total in week
     /// 0, indexed by gateway id. The first call renders the whole fleet
-    /// once; later calls read the memo.
+    /// once unless [`Fleet::set_week0_coverage`] filled the memo; later
+    /// calls read the memo.
     pub fn week0_coverage(&self) -> &[usize] {
         self.week0_coverage.get_or_init(|| {
             self.iter()
-                .map(|gw| {
-                    gw.aggregate_total()
-                        .slice(Minute::ZERO, MINUTES_PER_WEEK as usize)
-                        .observed_count()
-                })
+                .map(|gw| week0_observed(&gw.aggregate_total()))
                 .collect()
         })
+    }
+
+    /// The coverage memo, if it is filled.
+    pub fn known_week0_coverage(&self) -> Option<&[usize]> {
+        self.week0_coverage.get().map(Vec::as_slice)
+    }
+
+    /// Fills the coverage memo from a walk the caller made anyway: entry
+    /// `id` must be [`week0_observed`] of gateway `id`'s aggregate total. A
+    /// filled memo is kept.
+    ///
+    /// # Panics
+    /// Panics if `coverage` does not have one entry per gateway.
+    pub fn set_week0_coverage(&self, coverage: Vec<usize>) {
+        assert_eq!(coverage.len(), self.len(), "one entry per gateway");
+        let _ = self.week0_coverage.set(coverage);
     }
 
     /// Iterates over all gateways, rendering each lazily.
     pub fn iter(&self) -> impl Iterator<Item = SimGateway> + '_ {
         (0..self.config.n_gateways).map(move |id| self.gateway(id))
     }
+}
 
-    /// Ground truth for the "user survey" experiments: the resident count of
-    /// the first `n` gateways (the paper surveyed 49 of its 196 homes).
-    pub fn survey_residents(&self, n: usize) -> Vec<(usize, usize)> {
-        (0..n.min(self.len()))
-            .map(|id| (id, self.gateway(id).residents))
-            .collect()
-    }
+/// Observed (finite) minutes in week 0 of a gateway's aggregate total
+/// ([`SimGateway::aggregate_total`]): the entry [`Fleet::week0_coverage`]
+/// holds for the gateway.
+pub fn week0_observed(aggregate_total: &TimeSeries) -> usize {
+    aggregate_total
+        .slice(Minute::ZERO, MINUTES_PER_WEEK as usize)
+        .observed_count()
 }
 
 #[cfg(test)]
@@ -150,18 +176,6 @@ mod tests {
         let fleet = Fleet::new(FleetConfig::small());
         assert_eq!(fleet.iter().count(), fleet.len());
         assert!(!fleet.is_empty());
-    }
-
-    #[test]
-    fn survey_returns_requested_size() {
-        let fleet = Fleet::new(FleetConfig::small());
-        let survey = fleet.survey_residents(3);
-        assert_eq!(survey.len(), 3);
-        for (_, residents) in survey {
-            assert!((1..=4).contains(&residents));
-        }
-        // Requesting more than the fleet clamps.
-        assert_eq!(fleet.survey_residents(100).len(), fleet.len());
     }
 
     #[test]
@@ -187,6 +201,26 @@ mod tests {
         let clone = fleet.clone();
         assert_eq!(clone.week0_coverage(), coverage.as_slice());
         assert_eq!(clone.renders(), 0);
+        // A memo filled from the caller's own walk renders nothing more.
+        let fresh = Fleet::new(FleetConfig::small());
+        assert_eq!(fresh.known_week0_coverage(), None);
+        fresh.set_week0_coverage(coverage.clone());
+        assert_eq!(fresh.known_week0_coverage(), Some(coverage.as_slice()));
+        assert_eq!(fresh.week0_coverage(), coverage.as_slice());
+        assert_eq!(fresh.renders(), 0);
+    }
+
+    #[test]
+    fn renders_are_counted_per_gateway() {
+        let fleet = Fleet::new(FleetConfig::small());
+        let gw = fleet.gateway(3);
+        assert_eq!(
+            week0_observed(&gw.aggregate_total()),
+            fleet.week0_coverage()[3]
+        );
+        assert_eq!(fleet.renders_of(3), 2);
+        assert_eq!(fleet.renders_of(0), 1);
+        assert_eq!(fleet.renders(), fleet.len() + 1);
     }
 
     #[test]

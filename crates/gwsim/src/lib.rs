@@ -50,7 +50,7 @@ pub use crash::kill_points;
 pub use device::{DeviceRole, DeviceSpec};
 pub use export::{write_counter_csv, write_inventory_csv, write_traffic_csv};
 pub use faults::{enospc_storm, fault_schedule, FaultEvent, FaultOp, FAULT_OPS};
-pub use fleet::Fleet;
+pub use fleet::{week0_observed, Fleet};
 pub use gateway::{generate_gateway, AccessTech, Reliability, SimDevice, SimGateway};
 pub use synth::{synthetic_window, synthetic_windows, SynthConfig};
 pub use wifi::{apply_airtime_contention, PhyRate};

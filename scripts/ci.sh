@@ -2,8 +2,9 @@
 # CI gate: formatting, lints and rustdoc (warnings denied), build, the full test
 # suite, bench smokes (bit-identity + observability conservation), the
 # unified perf-budget gate (scripts/perf_gate.py) over every committed
-# bench baseline, and the benchmark selftest (experiment CSVs against the
-# recorded digests). Run from anywhere inside the repository.
+# bench baseline, the benchmark selftest, and every `experiments --small`
+# CSV at both recorded fleet seeds against its recorded digest. Run from
+# anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -126,6 +127,46 @@ python3 scripts/perf_gate.py
 
 echo "== benchmark selftest (recorded CSV digests, injected faults counted) =="
 CARGO_TARGET_DIR=target python3 perfbench/run.py --selftest
+
+echo "== experiments --small: every CSV against the recorded digests, both fleet seeds =="
+cargo build --release -p wtts-bench --bin experiments
+python3 - <<'PY'
+import hashlib, json, pathlib, subprocess, sys, tempfile
+
+golden = json.loads(pathlib.Path("perfbench/golden/paper-small.json").read_text())
+runner = pathlib.Path("target/release/experiments").resolve()
+failures = []
+for key, seed in golden["seeds"].items():
+    expected = {
+        csv: digest
+        for owned in golden["csvs"][key].values()
+        for csv, digest in owned.items()
+    }
+    with tempfile.TemporaryDirectory(prefix="wtts_ci_small_") as tmp:
+        run = subprocess.run(
+            [str(runner), "--small", "--seed", str(seed), "all"],
+            cwd=tmp,
+            stdout=subprocess.DEVNULL,
+        )
+        if run.returncode != 0:
+            failures.append(f"{key} seed {seed}: runner exited with {run.returncode}")
+        results = pathlib.Path(tmp) / "results"
+        found = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (results.iterdir() if results.is_dir() else [])
+        }
+    for csv, digest in sorted(expected.items()):
+        if csv not in found:
+            failures.append(f"{key} seed {seed}: {csv} missing")
+        elif found[csv] != digest:
+            failures.append(f"{key} seed {seed}: {csv} changed")
+    for stray in sorted(set(found) - set(expected)):
+        failures.append(f"{key} seed {seed}: unexpected file {stray}")
+    print(f"{key} seed {seed}: {len(expected)} recorded CSVs compared")
+for f in failures:
+    print(f, file=sys.stderr)
+sys.exit(1 if failures else 0)
+PY
 
 echo "== examples (smoke) =="
 cargo run --release --example quickstart >/dev/null
