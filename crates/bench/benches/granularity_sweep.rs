@@ -290,12 +290,15 @@ fn smoke(metrics_json: Option<&str>) {
     assert_bit_identical(&sweep, &reference);
 
     let snapshot = obs.snapshot();
-    assert!(snapshot.conserved(), "stage books must balance");
-    assert!(snapshot.quiescent(), "no span may be left open");
-    let rebins = snapshot.counter("rebins_pyramid") + snapshot.counter("rebins_direct");
+    let laws = snapshot.laws();
+    assert!(laws.iter().all(|law| law.holds), "{laws:?}");
+    for stage in ["pyramid_build", "rebin", "window_score"] {
+        let entered = snapshot.term(&format!("{stage}.entered"));
+        assert!(entered > Some(0), "stage {stage} never ran");
+    }
     assert_eq!(
-        rebins,
-        candidates.len() as u64,
+        snapshot.term("rebin.entered"),
+        Some(candidates.len() as u64),
         "every candidate is one rebin"
     );
     assert!(

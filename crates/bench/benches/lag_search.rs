@@ -281,18 +281,12 @@ fn smoke(metrics_json: Option<&str>) {
         stats.prune_rate()
     );
 
+    // The emitted books are the ones the prune-rate floor was checked on.
     let snapshot = obs.snapshot();
-    assert!(snapshot.conserved(), "stage books must balance");
-    assert!(snapshot.quiescent(), "no span may be left open");
+    let laws = snapshot.laws();
+    assert!(laws.iter().all(|law| law.holds), "{laws:?}");
     assert_eq!(snapshot.counter("lag_cells_total"), stats.cells_total);
-    assert_eq!(
-        snapshot.counter("lag_cells_pruned_degenerate")
-            + snapshot.counter("lag_cells_pruned_sketch")
-            + snapshot.counter("lag_cells_pruned_energy")
-            + snapshot.counter("lag_cells_evaluated"),
-        snapshot.counter("lag_cells_total"),
-        "obs cell books must balance"
-    );
+    assert_eq!(snapshot.counter("lag_cells_evaluated"), stats.evaluated);
 
     println!(
         "lag_search smoke: {} series, {} of {} cells evaluated (prune rate {:.3}), bit-identical in {:.2?}",

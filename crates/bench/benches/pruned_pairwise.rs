@@ -255,16 +255,14 @@ fn smoke(metrics_json: Option<&str>) {
     );
     assert_eq!(sparse.evaluated_pairs() as u64, stats.pairs_evaluated);
 
+    // The emitted books are the ones the prune-rate floor was checked on.
     let snapshot = obs.snapshot();
-    assert!(snapshot.conserved(), "stage books must balance");
-    assert!(snapshot.quiescent(), "no span may be left open");
+    let laws = snapshot.laws();
+    assert!(laws.iter().all(|law| law.holds), "{laws:?}");
+    assert_eq!(snapshot.counter("prune_pairs_total"), stats.pairs_total);
     assert_eq!(
-        snapshot.counter("pairs_pruned_degenerate")
-            + snapshot.counter("pairs_pruned_sax")
-            + snapshot.counter("pairs_pruned_moment")
-            + snapshot.counter("prune_pairs_evaluated"),
-        snapshot.counter("prune_pairs_total"),
-        "obs pair books must balance"
+        snapshot.counter("prune_pairs_evaluated"),
+        stats.pairs_evaluated
     );
 
     let reference = dense(&profiles);

@@ -15,7 +15,7 @@
 //! accumulation orders exactly, and pairs whose finite masks differ fall
 //! back to pairwise deletion internally (see `wtts_stats::corprofile`).
 
-use crate::obs::PipelineObs;
+use crate::obs::{PipelineObs, PRUNE_TIERS};
 use crate::similarity::CorSimilarity;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -258,8 +258,8 @@ impl PruneConfig {
 }
 
 /// Per-tier accounting of one pruned matrix build. The conservation law
-/// `pairs_pruned() + pairs_evaluated == pairs_total` holds by
-/// construction and is what the CI smoke asserts.
+/// `pairs_pruned() + pairs_evaluated == pairs_total`
+/// ([`PruneStats::conserved`]) holds by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// All unordered pairs considered (`n(n−1)/2`).
@@ -292,9 +292,16 @@ impl PruneStats {
         }
     }
 
-    /// The conservation law every build must satisfy.
+    /// The conservation law every build must satisfy
+    /// ([`crate::obs::PRUNE_TIERS`]).
     pub fn conserved(&self) -> bool {
-        self.pairs_pruned() + self.pairs_evaluated == self.pairs_total
+        PRUNE_TIERS.holds(&[
+            self.pruned_degenerate,
+            self.pruned_sax,
+            self.pruned_moment,
+            self.pairs_evaluated,
+            self.pairs_total,
+        ])
     }
 
     fn absorb(&mut self, other: &PruneStats) {
@@ -746,20 +753,8 @@ mod tests {
         let snap = obs.snapshot();
         assert!(snap.quiescent());
         assert_eq!(snap.counter("prune_pairs_total"), stats.pairs_total);
-        assert_eq!(
-            snap.counter("pairs_pruned_degenerate")
-                + snap.counter("pairs_pruned_sax")
-                + snap.counter("pairs_pruned_moment")
-                + snap.counter("prune_pairs_evaluated"),
-            snap.counter("prune_pairs_total"),
-        );
-        let sketch_stage = snap
-            .stages
-            .iter()
-            .find(|(name, _)| *name == "sketch_build")
-            .map(|(_, s)| s.clone())
-            .expect("sketch_build stage present");
-        assert_eq!(sketch_stage.entered, series.len() as u64);
+        assert!(snap.holds("prune_tiers"), "{:?}", snap.laws());
+        assert_eq!(snap.term("sketch_build.entered"), Some(series.len() as u64));
     }
 
     #[test]

@@ -74,7 +74,7 @@
 //! explicit leader/follower roles so callers never re-derive the sign.
 
 use crate::engine::{profile_one, sketch_one};
-use crate::obs::PipelineObs;
+use crate::obs::{PipelineObs, LAG_TIERS};
 use crate::sweep::{run_grid, SweepSource};
 use wtts_stats::{
     ccf_cell_counted, ccf_cells_batch, prune_pair, significance_bound, CcfSide, CorProfile,
@@ -175,9 +175,16 @@ impl LagPruneStats {
         self.pruned_degenerate + self.pruned_sketch + self.pruned_energy
     }
 
-    /// The conservation law: every cell is pruned or evaluated.
+    /// The conservation law: every cell is pruned or evaluated
+    /// ([`crate::obs::LAG_TIERS`]).
     pub fn conserved(&self) -> bool {
-        self.cells_total == self.pruned() + self.evaluated
+        LAG_TIERS.holds(&[
+            self.pruned_degenerate,
+            self.pruned_sketch,
+            self.pruned_energy,
+            self.evaluated,
+            self.cells_total,
+        ])
     }
 
     /// Fraction of cells dismissed without exact work (0 for an empty run).

@@ -240,8 +240,8 @@ fn killed_mid_week_recovery_is_bit_identical() {
         "metrics books diverged beyond durability bookkeeping"
     );
     let m = &summary.metrics;
-    assert!(m.fully_accounted());
-    assert!(m.durably_accounted(), "wal_records must equal offered");
+    assert!(m.durable());
+    assert!(m.laws().iter().all(|law| law.holds), "{:?}", m.laws());
     assert!(m.wal_replayed > 0, "recovery never skipped durable reports");
     assert!(m.snapshots_written > 0, "snapshot cadence never fired");
 }

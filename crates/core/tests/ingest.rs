@@ -77,13 +77,8 @@ fn two_hundred_gateway_week_fully_accounted() {
     let m = &summary.metrics;
 
     assert_eq!(m.offered, offered);
-    assert!(
-        m.fully_accounted(),
-        "ingested {} + dropped {} != offered {}",
-        m.ingested,
-        m.dropped(),
-        m.offered
-    );
+    assert!(m.laws().iter().all(|law| law.holds), "{:?}", m.laws());
+    assert!(!m.durable(), "a run without a WAL lists no durable laws");
     // The chaos channel must actually have exercised every degradation path.
     assert!(m.dropped_duplicate > 0, "no duplicates seen");
     assert!(m.dropped_late > 0, "no late reports seen");
@@ -102,14 +97,12 @@ fn two_hundred_gateway_week_fully_accounted() {
     assert_eq!(lane_sealed, m.windows_sealed);
     assert!(summary.gateways.iter().all(|g| g.devices > 0));
 
-    // Per-shard batch-stage conservation at quiescence: every batch that
-    // entered a shard worker exited it, nothing is in flight, every batch
-    // left a latency sample, and the shards together processed the stream.
+    // Per-shard batch books beyond the laws: every batch left a latency
+    // sample, and the shards together processed the stream.
     assert_eq!(m.per_shard.len(), 3);
     let mut batches_total = 0;
     for (shard, s) in m.per_shard.iter().enumerate() {
         let stage = &s.batch_stage;
-        assert!(stage.quiescent(), "shard {shard} not quiescent: {stage:?}");
         assert!(stage.entered > 0, "shard {shard} saw no batches");
         assert_eq!(
             stage.latency_ns.total(),

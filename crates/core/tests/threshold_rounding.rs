@@ -152,17 +152,12 @@ fn near_threshold_pair_is_reverified_and_counted() {
     let motifs = discover_motifs_indexed(&index, &config, Some(&obs));
     assert!(motifs.is_empty());
     let snap = obs.snapshot();
-    assert!(snap.quiescent(), "all stages quiescent after a run");
+    assert!(snap.laws().iter().all(|law| law.holds), "{:?}", snap.laws());
     assert!(
         snap.counter("f64_reverified") >= 1,
         "the constructed pair must land in the re-verification band"
     );
     assert_eq!(snap.counter("pairs_evaluated"), 1);
-    assert_eq!(
-        snap.counter("candidate_pairs") + snap.counter("pairs_pruned"),
-        snap.counter("pairs_evaluated"),
-        "every evaluated pair is either a candidate or pruned"
-    );
     assert_eq!(
         snap.counter("near_phi"),
         1,
@@ -285,8 +280,5 @@ fn motif_scan_visits_exactly_the_prune_survivors() {
         snap.counter("pairs_evaluated"),
         snap.counter("prune_pairs_evaluated")
     );
-    assert_eq!(
-        snap.counter("candidate_pairs") + snap.counter("pairs_pruned"),
-        snap.counter("pairs_evaluated")
-    );
+    assert!(snap.holds("motif"), "{:?}", snap.laws());
 }
